@@ -107,7 +107,14 @@ def cmd_ring(args) -> int:
     return EXIT_OK
 
 
+def _at_least_one(flag: str, value: int | None) -> None:
+    if value is not None and value < 1:
+        raise GbottError(f"{flag} must be >= 1, got {value}")
+
+
 def cmd_iso(args) -> int:
+    _at_least_one("--bound", args.bound)
+    _at_least_one("--workers", args.workers)
     t_src = _load(args.fileA)
     t_tgt = _load(args.fileB)
     src = CohomRing(t_src)
@@ -146,10 +153,15 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
-    dims = tuple(int(d) for d in args.dims.split(","))
+    dims = []
+    for raw in args.dims.split(","):
+        try:
+            dims.append(int(raw))
+        except ValueError:
+            raise GbottError(f"--dims entry {raw!r} is not an integer") from None
     config = census_mod.EnumerationConfig(
         height=args.height,
-        dims=dims,
+        dims=tuple(dims),
         coeff_bound=args.bound,
         filters=frozenset(args.filter or ()),
     )
@@ -180,10 +192,7 @@ def cmd_enumerate(args) -> int:
 
 
 def _default_workers() -> int:
-    try:
-        return min(4, os.cpu_count() or 1)
-    except Exception:
-        return 1
+    return min(4, os.cpu_count() or 1)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -223,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--sequential",
         action="store_true",
-        help="single process, deterministic witness",
+        help="search in this process; the witness is the same either way",
     )
     p.add_argument("--workers", type=int, help="process count (default: cpu count, max 4)")
     p.set_defaults(func=cmd_iso)
@@ -253,8 +262,6 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except GbottError as exc:
-        return _fail(str(exc))
-    except ValueError as exc:
         return _fail(str(exc))
 
 

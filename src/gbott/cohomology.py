@@ -14,6 +14,14 @@ triangular rewriting system: eliminating the highest stage index first,
 the rewrite x_i^(n_i+1) -> -(c_1 x_i^(n_i) + ... + c_n x_i) terminates
 and lands on the unique basis-supported normal form.  No Groebner
 machinery is needed.
+
+Because the quotient is a free module on that basis, multiplication by
+each generator X_i is a fixed linear map on it.  `CohomRing.mult_table`
+holds these maps, built on first use: for each i and each basis monomial
+x^b, the normal form of X_i * x^b as sparse (basis index, coefficient)
+pairs.  A product of linear forms, such as the image of a relation
+under a degree-2 map, is then computed by applying one such map per
+factor, with no substitution and no rewriting.
 """
 
 from __future__ import annotations
@@ -78,9 +86,10 @@ def chern_classes(t: TowerSpec, stage: int) -> ChernData:
 class CohomRing:
     """Quotient-ring presentation of a tower's cohomology.
 
-    Immutable after construction; `normal_form` is a pure function of
-    its input, so instances can be shared freely across threads or
-    processes.
+    Immutable after construction apart from the lazily built basis and
+    multiplication table, which are pure functions of the tower;
+    `normal_form` is a pure function of its input, so instances can be
+    shared freely across threads or processes.
     """
 
     def __init__(self, tower: TowerSpec):
@@ -112,6 +121,7 @@ class CohomRing:
         self.relations = tuple(relations)
         self._tails = tuple(tails)
         self._basis = None
+        self._table = None
 
     # -- reduction ----------------------------------------------------------
 
@@ -140,10 +150,10 @@ class CohomRing:
             p = p.extended(self.nvars)
         return Polynomial._wrap(self._reduce(p._terms), self.nvars)
 
-    def is_zero(self, p: Polynomial, over_integers: bool = False) -> bool:
+    def is_zero(self, p: Polynomial) -> bool:
         """True iff p represents the zero class.  The ring is a free
         module, so for integral p the answer is the same over Z and
-        over Q; the flag is informational only."""
+        over Q."""
         return not self.normal_form(p)._terms
 
     # -- structure ----------------------------------------------------------
@@ -155,6 +165,25 @@ class CohomRing:
             exps = itertools.product(*(range(c + 1) for c in self.caps))
             self._basis = tuple(sorted(exps, key=lambda e: (sum(e), e)))
         return self._basis
+
+    def mult_table(self) -> tuple[tuple[tuple[tuple[int, int], ...], ...], ...]:
+        """table[i][b] is the normal form of X_(i+1) * x^basis[b] as
+        sparse (basis index, coefficient) pairs, where basis is
+        `basis_exponents()`; h * prod(n_i + 1) entries, built on first
+        use and kept on the ring."""
+        if self._table is None:
+            basis = self.basis_exponents()
+            index = {e: b for b, e in enumerate(basis)}
+            table = []
+            for i in range(self.nvars):
+                rows = []
+                for e in basis:
+                    prod = e[:i] + (e[i] + 1,) + e[i + 1:]
+                    nf = _k.preduce({prod: 1}, self.caps, self._tails)
+                    rows.append(tuple((index[m], c) for m, c in nf.items()))
+                table.append(tuple(rows))
+            self._table = tuple(table)
+        return self._table
 
     def poincare_ranks(self) -> tuple[int, ...]:
         return poincare_ranks(self.tower)

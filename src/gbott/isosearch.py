@@ -17,18 +17,31 @@ matrix.  Columns are chosen left to right and each entry runs through
 a ring's identity automorphism is found before its negation.  Source
 relation r_j only involves x_1..x_j, so it is checked as soon as column
 j is fixed, together with a rank check on the partial matrix; both
-prune entire subtrees that cannot contain a witness.
+prune entire subtrees that cannot contain a witness.  Over Z a column
+whose entries have a common factor is skipped, since a unimodular
+matrix has only primitive columns.
 
-The sequential search is deterministic.  With workers > 1 the first
-column's candidates are partitioned across processes and the first
-witness found anywhere wins, which may pick a different (equally valid)
-witness from run to run.
+The search checks a relation through the target ring's multiplication
+table (`CohomRing.mult_table`): r_j = x_j * prod_k (l_jk + x_j) is a
+product of linear forms, so its image is the unit vector multiplied by
+the image of each factor in turn.  The part of each factor that comes
+from the earlier columns is summed once per search node.
+`relation_residues` and `check_hom` keep the independent path through
+polynomial substitution and normal forms; the tests check one against
+the other.
+
+The search is deterministic.  With workers > 1 the first-column order
+is cut into contiguous ranges, searched by a process pool and read back
+in range order; the first range that holds a witness gives the
+sequential search's witness.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import multiprocessing
+import signal
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -189,6 +202,38 @@ def _entry_values(bound: int) -> tuple[int, ...]:
     return tuple(vals)
 
 
+def _times_form(table, vec: dict, form) -> dict:
+    """vec * sum_i form[i] X_(i+1) for a sparse basis vector vec."""
+    out: dict = {}
+    for i, w in enumerate(form):
+        if w:
+            rows = table[i]
+            for b, c in vec.items():
+                cw = c * w
+                for t, tc in rows[b]:
+                    out[t] = out.get(t, 0) + cw * tc
+    return {t: c for t, c in out.items() if c}
+
+
+def _relation_image(table, col, offsets) -> dict:
+    """Image of r_j = x_j * prod_k (l_jk + x_j) as a sparse basis vector,
+    when x_j maps to col and l_jk to offsets[k]; empty iff it is zero."""
+    vec = _times_form(table, {0: 1}, col)
+    for off in offsets:
+        if not vec:
+            break
+        vec = _times_form(table, vec, [c + o for c, o in zip(col, off)])
+    return vec
+
+
+def _offsets(rows, columns: list[tuple], h: int) -> list[tuple]:
+    """Images of the linear forms l_jk = sum_m rows[k][m] x_(m+1)."""
+    return [
+        tuple(sum(a * columns[m][i] for m, a in enumerate(row)) for i in range(h))
+        for row in rows
+    ]
+
+
 def _search_columns(
     src: CohomRing,
     tgt: CohomRing,
@@ -199,26 +244,9 @@ def _search_columns(
     """Depth-first search over columns; returns one witness or None."""
     h = src.nvars
     values = _entry_values(bound)
+    table = tgt.mult_table()
+    stages = src.tower.stages
     columns: list[tuple] = []
-    # images[j] tracks the kernel dict for column j; slots past the
-    # current depth stay empty, which is safe because relation r_j only
-    # involves generators 1..j
-    images: list[dict] = [{} for _ in range(h)]
-
-    def image_dict(col):
-        img = {}
-        for i, c in enumerate(col):
-            if c:
-                e = [0] * h
-                e[i] = 1
-                img[tuple(e)] = c
-        return img
-
-    caps, tails = tgt.caps, tgt._tails
-
-    def relation_ok(j: int) -> bool:
-        image = _k.psubst(src.relations[j - 1]._terms, images, h)
-        return not _k.preduce(image, caps, tails)
 
     def rec(j: int):
         if j == h:
@@ -229,20 +257,21 @@ def _search_columns(
             if over_integers and abs(M.det()) != 1:
                 return None
             return M
+        offsets = _offsets(stages[j].coeffs, columns, h)
         candidates = (first_column,) if (j == 0 and first_column is not None) else (
             itertools.product(values, repeat=h)
         )
         for col in candidates:
+            if over_integers and math.gcd(*col) != 1:
+                continue  # a unimodular matrix has only primitive columns
             columns.append(col)
-            images[j] = image_dict(col)
             # relation first: it rejects almost every column, so the
             # rank elimination only runs on the few survivors
-            if relation_ok(j + 1) and _rank(columns, h) == j + 1:
+            if not _relation_image(table, col, offsets) and _rank(columns, h) == j + 1:
                 found = rec(j + 1)
                 if found is not None:
                     return found
             columns.pop()
-            images[j] = {}
         return None
 
     return rec(0)
@@ -257,6 +286,7 @@ def search_iso(
 ) -> Degree2Map | None:
     """Exhaustive search for a degree-2 isomorphism witness with integer
     entries in [-bound, bound]; returns the first one found, or None.
+    The answer does not depend on `workers`.
 
     A returned map always satisfies is_iso.  None only certifies absence
     within the bound (unless the Poincare ranks already differ, which
@@ -270,16 +300,32 @@ def search_iso(
     return _search_columns(src, tgt, over_integers, bound)
 
 
+# ranges of the first-column order per worker: enough that a range rich
+# in surviving columns does not leave the other workers idle for long
+_RANGES_PER_WORKER = 16
+
 _WORK = {}
 
 
-def _init_worker(src, tgt, over_integers, bound):
+def _init_worker(src, tgt, over_integers, bound, stop):
+    # Ctrl-C reaches the whole process group.  A worker killed by it
+    # would lose its range and leave the pool waiting for it forever, so
+    # workers ignore it and the parent stops them through `stop`.
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
     _WORK["args"] = (src, tgt, over_integers, bound)
+    _WORK["stop"] = stop
 
 
 def _run_chunk(chunk):
+    """Search first columns start..end-1 of the first-column order, in
+    order; the first witness, or None.  Gives up between first columns
+    once the parent has its answer."""
     src, tgt, over_integers, bound = _WORK["args"]
-    for col in chunk:
+    start, end = chunk
+    order = itertools.product(_entry_values(bound), repeat=src.nvars)
+    for col in itertools.islice(order, start, end):
+        if _WORK["stop"].is_set():
+            return None
         found = _search_columns(src, tgt, over_integers, bound, first_column=col)
         if found is not None:
             return found
@@ -287,24 +333,31 @@ def _run_chunk(chunk):
 
 
 def _parallel_search(src, tgt, over_integers, bound, workers):
-    values = _entry_values(bound)
-    first_cols = list(itertools.product(values, repeat=src.nvars))
-    nchunks = max(workers * 4, 1)
-    chunks = [first_cols[i::nchunks] for i in range(nchunks)]
+    total = (2 * bound + 1) ** src.nvars
+    size = -(-total // (workers * _RANGES_PER_WORKER))
+    ranges = ((s, min(s + size, total)) for s in range(0, total, size))
+    tgt.mult_table()  # built once here; the forked workers inherit it
     ctx = multiprocessing.get_context("fork")
-    with ctx.Pool(
+    stop = ctx.Event()
+    pool = ctx.Pool(
         processes=workers,
         initializer=_init_worker,
-        initargs=(src, tgt, over_integers, bound),
-    ) as pool:
-        try:
-            for result in pool.imap_unordered(_run_chunk, chunks):
-                if result is not None:
-                    pool.terminate()
-                    return result
-        finally:
-            pool.close()
-    return None
+        initargs=(src, tgt, over_integers, bound, stop),
+    )
+    try:
+        # results arrive in range order, so the first witness is the
+        # one the sequential search returns
+        for result in pool.imap(_run_chunk, ranges):
+            if result is not None:
+                return result
+        return None
+    finally:
+        # every range still queued or running returns at its next first
+        # column, so the join waits for at most one first column's
+        # subtree per worker
+        stop.set()
+        pool.close()
+        pool.join()
 
 
 # -- oracle ------------------------------------------------------------------

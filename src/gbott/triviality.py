@@ -288,6 +288,11 @@ def decompose(t: TowerSpec, ring: CohomRing | None = None) -> Decomposition:
     ring = ring or CohomRing(t)
     if not is_q_trivial(t, ring):
         raise PreconditionError("decompose requires a Q-trivial tower")
+    return _reorder(t)
+
+
+def _reorder(t: TowerSpec) -> Decomposition:
+    """`decompose` for a tower already known to be Q-trivial."""
     order = [i for i in range(1, t.height + 1) if t.dims[i - 1] == 1]
     order += [i for i in range(1, t.height + 1) if t.dims[i - 1] > 1]
     images = [0] * t.height
@@ -330,7 +335,7 @@ def full_report(t: TowerSpec) -> TrivialityReport:
     q = all(d.passed for d in per_stage)
     z = q and all(d.candidate.scale == 1 for d in per_stage)
     chern = is_total_chern_trivial(t, ring)
-    dec = decompose(t, ring) if q else None
+    dec = _reorder(t) if q else None
     return TrivialityReport(
         q_trivial=q,
         z_trivial=z,

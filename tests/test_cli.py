@@ -147,6 +147,17 @@ def test_iso_default_parallel_path(capsys, data_dir):
     assert "witness" in out
 
 
+def test_iso_bound_below_one_exits_2(capsys, data_dir):
+    p = path(data_dir, "qtwin_a.tower")
+    code, out, err = run(capsys, "iso", p, p, "--coeff", "q", "--bound", "0")
+    assert code == 2
+    assert out == ""
+    assert "--bound must be >= 1, got 0" in err
+    code, _, err = run(capsys, "iso", p, p, "--coeff", "q", "--workers", "0")
+    assert code == 2
+    assert "--workers must be >= 1, got 0" in err
+
+
 def test_iso_parse_error_exits_2(capsys, data_dir):
     code, _, err = run(
         capsys,
@@ -213,6 +224,15 @@ def test_enumerate_bad_config(capsys):
         capsys, "enumerate", "--height", "0", "--dims", "1", "--bound", "1"
     )
     assert code == 2
+
+
+def test_enumerate_non_integer_dims_exits_2(capsys):
+    code, out, err = run(
+        capsys, "enumerate", "--height", "2", "--dims", "1,x", "--bound", "1"
+    )
+    assert code == 2
+    assert out == ""
+    assert "--dims entry 'x' is not an integer" in err
 
 
 def test_enumerate_count_matches_formula(capsys):

@@ -206,6 +206,22 @@ def test_normal_form_independent_of_rewrite_order(t, data):
     assert ring.normal_form(p) == nf_lowest_first(p, ring)
 
 
+@given(towers(max_height=3, max_dim=3, bound=2))
+@settings(max_examples=40, deadline=None)
+def test_mult_table_is_multiplication_by_each_generator(t):
+    ring = CohomRing(t)
+    basis = ring.basis_exponents()
+    table = ring.mult_table()
+    assert ring.mult_table() is table
+    assert len(table) == t.height
+    for i, rows in enumerate(table, start=1):
+        assert len(rows) == len(basis)
+        x_i = Polynomial.variable(i, t.height)
+        for e, row in zip(basis, rows):
+            expected = ring.normal_form(x_i * Polynomial(t.height, {e: 1}))
+            assert {basis[b]: c for b, c in row} == dict(expected.terms)
+
+
 def test_integral_input_gives_integral_normal_form():
     rng = random.Random(11)
     for _ in range(50):

@@ -1,9 +1,19 @@
 """Homomorphism checking and bounded isomorphism search."""
 
+import os
 import random
+import signal
+import subprocess
+import sys
+import textwrap
+import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
+
+import gbott
 
 from gbott import (
     CohomRing,
@@ -18,9 +28,11 @@ from gbott import (
     z_trivial_oracle,
 )
 from gbott.errors import PreconditionError
+from gbott.isosearch import _offsets, _relation_image
 
 from conftest import hirzebruch
 from test_cohomology import random_tower
+from test_tower import towers
 
 
 def rings(qtwin_a, qtwin_b):
@@ -55,6 +67,40 @@ def test_integral_flag_requires_integer_entries(qtwin_a):
     M = Degree2Map(((Fraction(1, 2), 0), (0, 1)))
     with pytest.raises(PreconditionError):
         check_hom(M, ring, ring, over_integers=True)
+
+
+@st.composite
+def tower_pairs_with_map(draw):
+    """Two towers of one height and an integer matrix between them."""
+    h = draw(st.integers(1, 3))
+    pair = [
+        draw(towers(max_height=3, max_dim=2, bound=2).filter(lambda t: t.height == h))
+        for _ in range(2)
+    ]
+    entry = st.integers(-2, 2)
+    matrix = tuple(tuple(draw(entry) for _ in range(h)) for _ in range(h))
+    return pair[0], pair[1], Degree2Map(matrix)
+
+
+@given(tower_pairs_with_map())
+@settings(max_examples=80, deadline=None)
+def test_table_relation_images_match_substitution(case):
+    """The search's relation check, through the target's multiplication
+    table, gives the same image of every relation as substituting into
+    it and reducing (the path check_hom takes)."""
+    t_src, t_tgt, M = case
+    src, tgt = CohomRing(t_src), CohomRing(t_tgt)
+    h = t_src.height
+    basis = tgt.basis_exponents()
+    columns = [M.column(j) for j in range(1, h + 1)]
+    images = []
+    for j in range(h):
+        offsets = _offsets(t_src.stages[j].coeffs, columns[:j], h)
+        vec = _relation_image(tgt.mult_table(), columns[j], offsets)
+        images.append({basis[b]: c for b, c in vec.items()})
+    residues = relation_residues(M, src, tgt)
+    assert images == [dict(r.terms) for r in residues]
+    assert check_hom(M, src, tgt) == (not any(images))
 
 
 def test_composition_of_homs_is_hom():
@@ -130,6 +176,13 @@ def test_search_finds_identity_first():
     M = search_iso(ring, ring, over_integers=True, bound=1)
     assert M is not None
     assert M.matrix == ((1, 0), (0, 1))
+    # over Z only primitive columns are searched; the first witness
+    # stays the one the unpruned search finds
+    lines = CohomRing(product_tower((1, 1)))
+    M = search_iso(lines, CohomRing(hirzebruch(4)), over_integers=True, bound=5)
+    assert M.matrix == ((1, 2), (0, 1))
+    M = search_iso(lines, CohomRing(hirzebruch(-4)), over_integers=True, bound=2)
+    assert M.matrix == ((1, 2), (0, -1))
 
 
 def test_search_respects_rank_gate():
@@ -146,11 +199,79 @@ def test_search_rejects_bad_bound(qtwin_a):
 
 def test_parallel_search_agrees_with_sequential(qtwin_a, qtwin_b):
     src, tgt = rings(qtwin_a, qtwin_b)
-    seq = search_iso(src, tgt, over_integers=False, bound=2, workers=1)
-    par = search_iso(src, tgt, over_integers=False, bound=2, workers=2)
-    assert seq is not None and par is not None
-    assert is_iso(par, src, tgt, over_integers=False)
+    for bound in (2, 4):
+        seq = search_iso(src, tgt, over_integers=False, bound=bound, workers=1)
+        par = search_iso(src, tgt, over_integers=False, bound=bound, workers=2)
+        assert seq is not None and par is not None
+        assert par.matrix == seq.matrix
     assert search_iso(src, tgt, over_integers=True, bound=4, workers=2) is None
+
+
+def _run_child(script: str, timeout: float, interrupt_after: float | None = None):
+    """Run `script` in a fresh interpreter and process group; Ctrl-C the
+    group after `interrupt_after` seconds if given.  On timeout the whole
+    group is killed, pool workers included, and the test fails."""
+    src_dir = str(Path(gbott.__file__).resolve().parent.parent)
+    proc = subprocess.Popen(
+        [sys.executable, "-c", textwrap.dedent(script)],
+        env={**os.environ, "PYTHONPATH": src_dir},
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        start_new_session=True,
+    )
+    try:
+        if interrupt_after is not None:
+            assert proc.stdout.readline().strip() == "started"
+            time.sleep(interrupt_after)
+            os.killpg(proc.pid, signal.SIGINT)
+        out, err = proc.communicate(timeout=timeout)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        pytest.fail(f"child still running after {timeout} s")
+    return proc.returncode, out, err
+
+
+def test_parallel_search_terminates_when_repeated():
+    """A pool search that stops early, run many times in a row, must
+    neither hang nor change its witness."""
+    code, out, err = _run_child(
+        """
+        from gbott import CohomRing, StageSpec, TowerSpec, search_iso
+
+        a = TowerSpec((StageSpec(2), StageSpec(3, ((0,), (0,), (1,)))))
+        b = TowerSpec((StageSpec(2), StageSpec(3, ((0,), (0,), (2,)))))
+        seq = search_iso(CohomRing(a), CohomRing(b), over_integers=False, bound=4)
+        for _ in range(300):
+            par = search_iso(
+                CohomRing(a), CohomRing(b), over_integers=False, bound=4, workers=2
+            )
+            assert par == seq, (par, seq)
+        print("ok")
+        """,
+        timeout=120,
+    )
+    assert code == 0, err
+    assert out.strip() == "ok"
+
+
+def test_interrupted_parallel_search_exits():
+    """Ctrl-C in the middle of a long pool search ends the process."""
+    code, _, err = _run_child(
+        """
+        from gbott import CohomRing, StageSpec, TowerSpec, product_tower, search_iso
+
+        t = TowerSpec((StageSpec(1), StageSpec(1, ((2,),)), StageSpec(1, ((-2, 1),))))
+        src, tgt = CohomRing(product_tower((1, 1, 1))), CohomRing(t)
+        print("started", flush=True)
+        search_iso(src, tgt, over_integers=False, bound=8, workers=2)
+        """,
+        timeout=60,
+        interrupt_after=1.0,
+    )
+    assert code != 0
+    assert "KeyboardInterrupt" in err
 
 
 # -- oracle ---------------------------------------------------------------------

@@ -300,3 +300,23 @@ def test_full_report_twisted_line_tower():
     assert "z_trivial: no" in text
     data = rep.to_dict()
     assert data["stages"][1]["scale"] == 2
+
+
+def test_full_report_checks_each_stage_once(monkeypatch):
+    """A Q-trivial tower's stages are checked once each: the
+    decomposition does not decide Q-triviality again."""
+    from gbott import triviality
+
+    calls = []
+    check = triviality._first_violated_k
+
+    def counted(ring, stage):
+        calls.append(stage)
+        return check(ring, stage)
+
+    monkeypatch.setattr(triviality, "_first_violated_k", counted)
+    t = TowerSpec((StageSpec(1), StageSpec(2, ((0,), (0,))), StageSpec(1, ((2, 0),))))
+    rep = full_report(t)
+    assert rep.q_trivial
+    assert calls == [1, 2, 3]
+    assert rep.decomposition == decompose(t)
