@@ -168,21 +168,20 @@ def cmd_enumerate(args) -> int:
     combo_counts: dict[tuple[bool, bool, bool], int] = {}
     total = 0
     emitted = 0
-    for t in census_mod.enumerate_towers(
+    towers = census_mod.enumerate_towers(
         config.height, config.dims, config.coeff_bound
-    ):
-        rep = full_report(t)
-        flags = (rep.q_trivial, rep.z_trivial, rep.total_chern_trivial)
+    )
+    for t, flags in census_mod.classify(towers):
+        q, z, c = flags
         combo_counts[flags] = combo_counts.get(flags, 0) + 1
         total += 1
         wanted = (
-            ("q" not in config.filters or rep.q_trivial)
-            and ("z" not in config.filters or rep.z_trivial)
-            and ("chern" not in config.filters or rep.total_chern_trivial)
+            ("q" not in config.filters or q)
+            and ("z" not in config.filters or z)
+            and ("chern" not in config.filters or c)
         )
         if wanted:
-            q, z, c = (int(f) for f in flags)
-            print(f"{matrix_line(t)}  q={q} z={z} chern={c}")
+            print(f"{matrix_line(t)}  q={int(q)} z={int(z)} chern={int(c)}")
             emitted += 1
     print(f"# towers: {total} emitted: {emitted}")
     for flags in sorted(combo_counts, reverse=True):

@@ -20,8 +20,9 @@ each generator X_i is a fixed linear map on it.  `CohomRing.mult_table`
 holds these maps, built on first use: for each i and each basis monomial
 x^b, the normal form of X_i * x^b as sparse (basis index, coefficient)
 pairs.  A product of linear forms, such as the image of a relation
-under a degree-2 map, is then computed by applying one such map per
-factor, with no substitution and no rewriting.
+under a degree-2 map or a stage's Chern class, is then computed by
+applying one such map per factor (`times_form`), with no substitution
+and no rewriting.
 """
 
 from __future__ import annotations
@@ -170,17 +171,40 @@ class CohomRing:
         """table[i][b] is the normal form of X_(i+1) * x^basis[b] as
         sparse (basis index, coefficient) pairs, where basis is
         `basis_exponents()`; h * prod(n_i + 1) entries, built on first
-        use and kept on the ring."""
+        use and kept on the ring.
+
+        The maps are built in generator order and each takes one normal
+        form, that of X_i^(n_i+1); every other entry is a basis
+        monomial, a shift of that normal form, or an earlier map applied
+        to an earlier entry of the same map."""
         if self._table is None:
             basis = self.basis_exponents()
             index = {e: b for b, e in enumerate(basis)}
             table = []
-            for i in range(self.nvars):
+            for i, cap in enumerate(self.caps):
+                lead = (0,) * i + (cap + 1,) + (0,) * (self.nvars - i - 1)
+                # normal form of x_i^(cap+1); it involves x_1..x_i only
+                top = _k.preduce({lead: 1}, self.caps, self._tails)
                 rows = []
                 for e in basis:
-                    prod = e[:i] + (e[i] + 1,) + e[i + 1:]
-                    nf = _k.preduce({prod: 1}, self.caps, self._tails)
-                    rows.append(tuple((index[m], c) for m, c in nf.items()))
+                    if e[i] < cap:  # X_i * x^e is a basis monomial
+                        rows.append(((index[e[:i] + (e[i] + 1,) + e[i + 1:]], 1),))
+                        continue
+                    k = 0
+                    while k < i and not e[k]:
+                        k += 1
+                    if k == i:
+                        # x^e = x_i^cap times generators above i, which
+                        # the terms of `top` do not involve
+                        rows.append(tuple(
+                            (index[m[:i + 1] + e[i + 1:]], c) for m, c in top.items()
+                        ))
+                        continue
+                    # X_i * x^e = X_k * (X_i * x^(e - e_k)): an earlier
+                    # row (lower degree) and a map built already
+                    below = rows[index[e[:k] + (e[k] - 1,) + e[k + 1:]]]
+                    unit = (0,) * k + (1,)
+                    rows.append(tuple(times_form(table, dict(below), unit).items()))
                 table.append(tuple(rows))
             self._table = tuple(table)
         return self._table
@@ -204,6 +228,21 @@ class CohomRing:
 
     def __repr__(self) -> str:
         return f"CohomRing(dims={self.tower.dims})"
+
+
+def times_form(table, vec: dict, form) -> dict:
+    """vec * sum_i form[i] X_(i+1) for a sparse basis vector vec (a dict
+    basis index -> nonzero coefficient) of the ring whose `mult_table`
+    is `table`; `form` may be shorter than the number of generators."""
+    out: dict = {}
+    for i, w in enumerate(form):
+        if w:
+            rows = table[i]
+            for b, c in vec.items():
+                cw = c * w
+                for t, tc in rows[b]:
+                    out[t] = out.get(t, 0) + cw * tc
+    return {t: c for t, c in out.items() if c}
 
 
 def build_ring(t: TowerSpec) -> CohomRing:

@@ -46,7 +46,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .backend import kernel as _k
-from .cohomology import CohomRing
+from .cohomology import CohomRing, times_form
 from .errors import DimensionMismatch, PreconditionError
 from .poly import Polynomial
 from .tower import TowerSpec, product_tower
@@ -202,27 +202,14 @@ def _entry_values(bound: int) -> tuple[int, ...]:
     return tuple(vals)
 
 
-def _times_form(table, vec: dict, form) -> dict:
-    """vec * sum_i form[i] X_(i+1) for a sparse basis vector vec."""
-    out: dict = {}
-    for i, w in enumerate(form):
-        if w:
-            rows = table[i]
-            for b, c in vec.items():
-                cw = c * w
-                for t, tc in rows[b]:
-                    out[t] = out.get(t, 0) + cw * tc
-    return {t: c for t, c in out.items() if c}
-
-
 def _relation_image(table, col, offsets) -> dict:
     """Image of r_j = x_j * prod_k (l_jk + x_j) as a sparse basis vector,
     when x_j maps to col and l_jk to offsets[k]; empty iff it is zero."""
-    vec = _times_form(table, {0: 1}, col)
+    vec = times_form(table, {0: 1}, col)
     for off in offsets:
         if not vec:
             break
-        vec = _times_form(table, vec, [c + o for c, o in zip(col, off)])
+        vec = times_form(table, vec, [c + o for c, o in zip(col, off)])
     return vec
 
 

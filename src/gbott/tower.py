@@ -263,6 +263,11 @@ def parse_tower(text: str) -> TowerSpec:
                 raise TowerFormatError(
                     f"bad fiber dimension {rest[2:].strip()!r}", line=lineno
                 ) from None
+            if n < 1:
+                raise TowerFormatError(
+                    f"stage {len(stages) + 1}: fiber dimension must be >= 1, got {n}",
+                    line=lineno,
+                )
             stages.append((n, [], lineno))
         else:
             if not stages:
@@ -294,7 +299,7 @@ def parse_tower(text: str) -> TowerSpec:
     spec_stages = []
     for idx, (n, rows, header_line) in enumerate(stages, start=1):
         if idx == 1:
-            rows = [()] * max(n, 0)
+            rows = [()] * n
         elif len(rows) != n:
             raise TowerFormatError(
                 f"stage {idx} declares n={n} but has {len(rows)} rows",

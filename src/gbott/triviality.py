@@ -21,6 +21,18 @@ with unit diagonal, hence unimodular, and the z_i present the product
 ring.  This divisibility criterion is cross-checked against the
 brute-force search in gbott.isosearch by the test suite.
 
+Each stage is decided once, on a ring's multiplication table
+(`CohomRing.mult_table`): c_0..c_n are sparse basis vectors built as
+elementary symmetric functions of the rows' linear forms, one table map
+per row, and c_1^k is one more application of the map for c_1 per k.
+The candidate and its scale come in closed form from the column sums of
+the rows.  Stage i's classes involve only x_1..x_(i-1), and the
+quotient by the first i-1 relations embeds in the whole ring, so stage
+i holds or fails already in the cohomology of the height-(i-1) prefix
+tower; gbott.census uses this to decide a prefix shared by many towers
+once.  The normal-form computation of the same identities is kept in
+the tests as the independent reference.
+
 Every Q-trivial tower can be reordered, by conjugating with an
 admissible permutation, so that all n_i = 1 stages come first and no
 stage is twisted over a stage with fiber dimension > 1; `decompose`
@@ -32,7 +44,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .cohomology import CohomRing
+from .cohomology import CohomRing, times_form
 from .errors import (
     InadmissiblePermutation,
     InternalConsistencyError,
@@ -108,10 +120,7 @@ class TrivialityReport:
     decomposition: Decomposition | None = None
 
     def __post_init__(self):
-        if self.z_trivial and not self.q_trivial:
-            raise InternalConsistencyError("z_trivial without q_trivial")
-        if self.total_chern_trivial and not self.q_trivial:
-            raise InternalConsistencyError("total_chern_trivial without q_trivial")
+        _check_flags(self.q_trivial, self.z_trivial, self.total_chern_trivial)
 
     def to_dict(self) -> dict:
         out = {
@@ -167,6 +176,15 @@ class TrivialityReport:
         return "\n".join(lines)
 
 
+def _check_flags(q: bool, z: bool, chern: bool) -> None:
+    """Raise InternalConsistencyError unless Z-triviality and total
+    Chern triviality each imply Q-triviality."""
+    if z and not q:
+        raise InternalConsistencyError("z_trivial without q_trivial")
+    if chern and not q:
+        raise InternalConsistencyError("total_chern_trivial without q_trivial")
+
+
 def _yn(flag: bool) -> str:
     return "yes" if flag else "no"
 
@@ -174,26 +192,58 @@ def _yn(flag: bool) -> str:
 # -- per-stage analysis ------------------------------------------------------
 
 
-def _first_violated_k(ring: CohomRing, stage: int) -> int | None:
-    """Smallest k in 1..n+1 where (n+1)^k c_k != binom(n+1,k) c_1^k in
-    the ring, or None if the stage passes all identities."""
-    n = ring.tower.dims[stage - 1]
-    cd = ring.chern[stage - 1]
-    c1 = cd.classes[1]
-    c1_power = Polynomial.one(ring.nvars)
-    for k in range(1, n + 2):
-        c1_power = c1_power * c1
-        delta = ((n + 1) ** k) * cd.c(k) - math.comb(n + 1, k) * c1_power
-        if not delta.is_zero and not ring.is_zero(delta):
-            return k
-    return None
+def _first_violated_k(table, rows) -> tuple[int | None, bool]:
+    """Decide the stage whose twist rows are `rows` (n rows of i-1
+    entries) in any ring whose first generators are x_1..x_(i-1), given
+    by its multiplication table (`CohomRing.mult_table`).
+
+    Returns (k, chern): k is the smallest k in 1..n+1 where
+    (n+1)^k c_k != binom(n+1,k) c_1^k, or None if every identity holds;
+    chern is True iff every c_k, k >= 1, is zero.  A stage whose
+    classes all vanish passes every identity, so chern implies k is None.
+
+    The c_k are sparse basis vectors, built as elementary symmetric
+    functions of the rows' linear forms one row at a time; c_1 is the
+    form of the rows' column sums, and c_1^k one more multiplication by
+    it per k.  The k = 1 identity holds trivially.
+    """
+    classes = [{0: 1}]  # c_0..c_j of the first j rows
+    for row in rows:
+        step = [times_form(table, c, row) for c in classes]
+        classes = [classes[0]] + [
+            _vec_add(classes[k], step[k - 1]) for k in range(1, len(classes))
+        ] + [step[-1]]
+    n = len(rows)
+    c1_form = [sum(col) for col in zip(*rows)]
+    power = classes[1]
+    for k in range(2, n + 2):
+        power = times_form(table, power, c1_form)
+        ck = classes[k] if k <= n else {}
+        a, b = (n + 1) ** k, math.comb(n + 1, k)
+        if ck.keys() != power.keys() or any(
+            a * c != b * power[m] for m, c in ck.items()
+        ):
+            return k, False
+    return None, not any(classes[1:])
 
 
-def _candidate(ring: CohomRing, stage: int) -> GeneratorCandidate:
-    n = ring.tower.dims[stage - 1]
-    c1 = ring.chern[stage - 1].classes[1]
-    vec = list(c1.linear_coefficients())
-    vec[stage - 1] += n + 1
+def _vec_add(u: dict, v: dict) -> dict:
+    out = dict(u)
+    for m, c in v.items():
+        s = out.get(m, 0) + c
+        if s:
+            out[m] = s
+        else:
+            del out[m]
+    return out
+
+
+def _candidate(t: TowerSpec, stage: int) -> GeneratorCandidate:
+    """The stage's candidate in closed form: c_1(xi_i) has the column
+    sums of the stage's rows as coefficients."""
+    rows = t.stages[stage - 1].coeffs
+    n = len(rows)
+    vec = [sum(col) for col in zip(*rows)] + [n + 1] + [0] * (t.height - stage)
     g = math.gcd(*vec)
     prim = tuple(b // g for b in vec)
     return GeneratorCandidate(
@@ -201,26 +251,44 @@ def _candidate(ring: CohomRing, stage: int) -> GeneratorCandidate:
     )
 
 
+def _decide_stage(t: TowerSpec, stage: int, table) -> tuple[StageDiagnostic, bool]:
+    """Stage `stage` of t decided on `table`, the multiplication table of
+    a ring whose first generators are x_1..x_(stage-1): its diagnostic,
+    and whether its Chern classes all vanish."""
+    k, chern = _first_violated_k(table, t.stages[stage - 1].coeffs)
+    n = t.dims[stage - 1]
+    if k is not None:
+        return StageDiagnostic(stage=stage, fiber_dim=n, violated_k=k), False
+    return StageDiagnostic(stage=stage, fiber_dim=n, candidate=_candidate(t, stage)), chern
+
+
+def _assert_candidate_vanishes(ring: CohomRing, d: StageDiagnostic) -> None:
+    """Debug check, through normal forms rather than the table: a passing
+    stage's candidate has vanishing (n+1)-st power in a ring holding
+    x_1..x_stage."""
+    power = d.candidate.vector.to_polynomial() ** (d.fiber_dim + 1)
+    assert ring.is_zero(power), "candidate power fails to vanish"
+
+
+def _diagnose(t: TowerSpec, ring: CohomRing) -> tuple[tuple[StageDiagnostic, ...], bool]:
+    """Every stage decided once on the tower's own table: the
+    diagnostics, and whether every Chern class vanishes."""
+    table = ring.mult_table()
+    out = []
+    chern = True
+    for i in range(1, t.height + 1):
+        d, stage_chern = _decide_stage(t, i, table)
+        if __debug__ and d.passed:
+            _assert_candidate_vanishes(ring, d)
+        out.append(d)
+        chern = chern and stage_chern
+    return tuple(out), chern
+
+
 def stage_diagnostics(t: TowerSpec, ring: CohomRing | None = None) -> tuple[StageDiagnostic, ...]:
     """For each stage, the first violated Chern identity or, when the
     stage passes, its generator candidate."""
-    ring = ring or CohomRing(t)
-    out = []
-    for i in range(1, t.height + 1):
-        k = _first_violated_k(ring, i)
-        if k is not None:
-            out.append(StageDiagnostic(stage=i, fiber_dim=t.dims[i - 1], violated_k=k))
-        else:
-            cand = _candidate(ring, i)
-            if __debug__:
-                power = cand.vector.to_polynomial() ** (t.dims[i - 1] + 1)
-                assert ring.is_zero(power), "candidate power fails to vanish"
-            out.append(
-                StageDiagnostic(
-                    stage=i, fiber_dim=t.dims[i - 1], candidate=cand
-                )
-            )
-    return tuple(out)
+    return _diagnose(t, ring or CohomRing(t))[0]
 
 
 # -- deciders ----------------------------------------------------------------
@@ -228,35 +296,31 @@ def stage_diagnostics(t: TowerSpec, ring: CohomRing | None = None) -> tuple[Stag
 
 def is_q_trivial(t: TowerSpec, ring: CohomRing | None = None) -> bool:
     """Rational triviality via the per-stage Chern identities."""
-    ring = ring or CohomRing(t)
-    return all(_first_violated_k(ring, i) is None for i in range(1, t.height + 1))
+    table = (ring or CohomRing(t)).mult_table()
+    return all(
+        _first_violated_k(table, s.coeffs)[0] is None for s in t.stages
+    )
 
 
 def is_total_chern_trivial(t: TowerSpec, ring: CohomRing | None = None) -> bool:
     """True iff every c_k(xi_i), k >= 1, is zero in the ring."""
-    ring = ring or CohomRing(t)
-    for cd in ring.chern:
-        for c in cd.classes[1:]:
-            if not c.is_zero and not ring.is_zero(c):
-                return False
-    return True
+    table = (ring or CohomRing(t)).mult_table()
+    return all(_first_violated_k(table, s.coeffs)[1] for s in t.stages)
 
 
 def generator_candidates(t: TowerSpec, ring: CohomRing | None = None) -> tuple[GeneratorCandidate, ...]:
     """The canonical degree-2 generators of a Q-trivial tower."""
-    ring = ring or CohomRing(t)
     if not is_q_trivial(t, ring):
         raise PreconditionError("generator_candidates requires a Q-trivial tower")
-    return tuple(_candidate(ring, i) for i in range(1, t.height + 1))
+    return tuple(_candidate(t, i) for i in range(1, t.height + 1))
 
 
 def is_z_trivial(t: TowerSpec, ring: CohomRing | None = None) -> bool:
     """Integral triviality: Q-trivial and every candidate scale r_i = 1."""
-    ring = ring or CohomRing(t)
     if not is_q_trivial(t, ring):
         return False
     return all(
-        _candidate(ring, i).scale == 1 for i in range(1, t.height + 1)
+        _candidate(t, i).scale == 1 for i in range(1, t.height + 1)
     )
 
 
@@ -265,10 +329,10 @@ def bott_q_trivial(t: TowerSpec, ring: CohomRing | None = None) -> bool:
     equivalent to c_1(xi_i)^2 = 0 for every stage."""
     if any(n != 1 for n in t.dims):
         raise PreconditionError("bott_q_trivial requires all fiber dimensions 1")
-    ring = ring or CohomRing(t)
-    for cd in ring.chern:
-        c1 = cd.classes[1]
-        if not ring.is_zero(c1 * c1):
+    table = (ring or CohomRing(t)).mult_table()
+    for s in t.stages:
+        (row,) = s.coeffs
+        if times_form(table, times_form(table, {0: 1}, row), row):
             return False
     return True
 
@@ -330,11 +394,9 @@ def _reorder(t: TowerSpec) -> Decomposition:
 def full_report(t: TowerSpec) -> TrivialityReport:
     """One-pass aggregate: all flags, per-stage diagnostics, and the
     decomposition when the tower is Q-trivial."""
-    ring = CohomRing(t)
-    per_stage = stage_diagnostics(t, ring)
+    per_stage, chern = _diagnose(t, CohomRing(t))
     q = all(d.passed for d in per_stage)
     z = q and all(d.candidate.scale == 1 for d in per_stage)
-    chern = is_total_chern_trivial(t, ring)
     dec = _reorder(t) if q else None
     return TrivialityReport(
         q_trivial=q,

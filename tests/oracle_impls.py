@@ -3,9 +3,11 @@
 Everything here recomputes results by a different route than the
 library: schoolbook term lists instead of dict kernels, lowest-index
 rewriting instead of highest-index, explicit monomial counting instead
-of generating-function convolution, and the degree-2 line criterion
-instead of the per-k Chern identities.  Keep these decoupled from the
-library internals.
+of generating-function convolution, the degree-2 line criterion
+instead of the per-k Chern identities, and those identities decided
+through Polynomial products and normal forms instead of the library's
+multiplication tables.  Keep these decoupled from the library
+internals.
 """
 
 from __future__ import annotations
@@ -92,6 +94,46 @@ def q_trivial_line_oracle(t: TowerSpec) -> bool:
         if not ring.is_zero(line ** (n + 1)):
             return False
     return True
+
+
+def stage_chern_classes(t: TowerSpec, stage: int) -> list[Polynomial]:
+    """c_0..c_n of a stage bundle as Polynomials: the elementary
+    symmetric polynomials of the rows' linear forms, expanded one row at
+    a time with Polynomial products."""
+    h = t.height
+    classes = [Polynomial.one(h)]
+    for row in t.stages[stage - 1].coeffs:
+        form = Polynomial.linear(tuple(row) + (0,) * (h - len(row)))
+        classes = (
+            [classes[0]]
+            + [classes[k] + classes[k - 1] * form for k in range(1, len(classes))]
+            + [classes[-1] * form]
+        )
+    return classes
+
+
+def chern_identity_violation(t: TowerSpec, stage: int) -> int | None:
+    """First k in 1..n+1 where (n+1)^k c_k != binom(n+1,k) c_1^k, or
+    None: each identity decided by reducing the difference to its normal
+    form in the tower's ring."""
+    ring = CohomRing(t)
+    classes = stage_chern_classes(t, stage)
+    n = t.dims[stage - 1]
+    for k in range(1, n + 2):
+        ck = classes[k] if k <= n else Polynomial.zero(t.height)
+        if not ring.is_zero((n + 1) ** k * ck - math.comb(n + 1, k) * classes[1] ** k):
+            return k
+    return None
+
+
+def total_chern_trivial_reference(t: TowerSpec) -> bool:
+    """Every c_k(xi_i), k >= 1, reduces to zero in the tower's ring."""
+    ring = CohomRing(t)
+    return all(
+        ring.is_zero(c)
+        for i in range(1, t.height + 1)
+        for c in stage_chern_classes(t, i)[1:]
+    )
 
 
 def adjacent_swap_order(dims: tuple[int, ...]) -> list[int]:

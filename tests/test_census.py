@@ -1,15 +1,20 @@
 """Enumeration harness: coverage, determinism, counts."""
 
+import random
+
 import pytest
 
 from gbott import (
     EnumerationConfig,
+    TowerSpec,
     enumerate_towers,
     expected_count,
     full_report,
     is_z_trivial,
     serialize_tower,
 )
+from gbott.census import classify
+from gbott.cli import main
 from gbott.errors import GbottError
 
 
@@ -72,3 +77,102 @@ def test_wide_census_q_trivial_iff_untwisted():
         if all(all(x == 0 for x in row) for s in t.stages for row in s.coeffs)
     )
     assert q_count == zero_count == 1
+
+
+# -- classification ------------------------------------------------------------
+
+CLASSIFY_SHAPES = [(3, (1, 2), 1), (2, (1, 3), 2), (4, (1,), 1)]
+
+
+def _report_flags(t):
+    rep = full_report(t)
+    return rep.q_trivial, rep.z_trivial, rep.total_chern_trivial
+
+
+@pytest.mark.parametrize("height, dims, bound", CLASSIFY_SHAPES)
+def test_classify_matches_full_report(height, dims, bound):
+    towers = list(enumerate_towers(height, dims, bound))
+    expected = [_report_flags(t) for t in towers]
+    assert [flags for _, flags in classify(towers)] == expected
+    order = list(range(len(towers)))
+    random.Random(height).shuffle(order)
+    shuffled = list(classify(towers[i] for i in order))
+    assert [t for t, _ in shuffled] == [towers[i] for i in order]
+    assert [flags for _, flags in shuffled] == [expected[i] for i in order]
+
+
+def test_classify_mixed_heights_in_any_order():
+    towers = [t for shape in CLASSIFY_SHAPES for t in enumerate_towers(*shape)]
+    random.Random(7).shuffle(towers)
+    towers = towers[:1500]
+    assert [f for _, f in classify(towers)] == [_report_flags(t) for t in towers]
+
+
+def test_classify_decides_each_prefix_once(monkeypatch):
+    """One decision per run of equal prefixes at each level, and one
+    last-stage decision per tower whose prefix passes."""
+    from gbott import triviality
+
+    calls = [0]
+    check = triviality._first_violated_k
+
+    def counted(table, rows):
+        calls[0] += 1
+        return check(table, rows)
+
+    towers = list(enumerate_towers(3, (1, 2), 1))
+    runs = {
+        j: sum(
+            1
+            for a, b in zip([None] + towers, towers)
+            if a is None or a.stages[:j] != b.stages[:j]
+        )
+        for j in (1, 2)
+    }
+    passing = {}
+    for t in towers:
+        prefix = t.stages[:2]
+        if prefix not in passing:
+            passing[prefix] = full_report(TowerSpec(prefix)).q_trivial
+    under_passing = sum(1 for t in towers if passing[t.stages[:2]])
+    assert (runs[1], runs[2], under_passing) == (2, 48, 1260)
+
+    monkeypatch.setattr(triviality, "_first_violated_k", counted)
+    for _ in classify(towers):
+        pass
+    assert calls[0] == runs[1] + runs[2] + under_passing == 1310
+
+
+def _enumerate(capsys, *extra):
+    code = main(["enumerate", "--height", "3", "--dims", "1,2", "--bound", "1", *extra])
+    assert code == 0
+    return capsys.readouterr().out.splitlines()
+
+
+def test_enumerate_histogram_is_pinned(capsys):
+    """Flag histogram of this census as printed before the prefix
+    classifier existed."""
+    summary = [line for line in _enumerate(capsys) if line.startswith("#")]
+    assert summary == [
+        "# towers: 2160 emitted: 2160",
+        "# q=1 z=1 chern=1: 24",
+        "# q=1 z=0 chern=0: 184",
+        "# q=0 z=0 chern=0: 1952",
+    ]
+
+
+@pytest.mark.parametrize(
+    "filters", [("q",), ("z",), ("chern",), ("q", "z")], ids="+".join
+)
+def test_enumerate_filters_select_matching_lines(capsys, filters):
+    full = _enumerate(capsys)
+    towers = [line for line in full if not line.startswith("#")]
+    args = [a for f in filters for a in ("--filter", f)]
+    out = _enumerate(capsys, *args)
+    wanted = [
+        line for line in towers if all(f"{f}=1" in line.split("  ")[1] for f in filters)
+    ]
+    assert [line for line in out if not line.startswith("#")] == wanted
+    summary = [line for line in full if line.startswith("#")]
+    summary[0] = f"# towers: {len(towers)} emitted: {len(wanted)}"
+    assert [line for line in out if line.startswith("#")] == summary

@@ -81,6 +81,15 @@ def test_malformed_file_exits_2_with_line(capsys, data_dir):
     assert "line 2" in err
 
 
+def test_nonpositive_fiber_dimension_exits_2_with_line(capsys, tmp_path):
+    bad = tmp_path / "bad.tower"
+    bad.write_text("stage n=1\nstage n=0\n")
+    code, out, err = run(capsys, "report", str(bad))
+    assert code == 2
+    assert out == ""
+    assert "line 2" in err and "fiber dimension must be >= 1" in err
+
+
 def test_missing_file_exits_2(capsys):
     code, _, err = run(capsys, "report", "/no/such/file.tower")
     assert code == 2

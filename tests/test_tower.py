@@ -222,3 +222,18 @@ def test_extra_row_rejected():
 def test_non_integer_row_rejected():
     with pytest.raises(TowerFormatError):
         parse_tower("stage n=1\nstage n=1\nx\n")
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ("stage n=0\n", 1),
+        ("stage n=1\nstage n=-1\n", 2),
+        ("# header comment\n\nstage n=2\nstage n=0\n0\n", 4),
+    ],
+)
+def test_nonpositive_fiber_dimension_reports_header_line(text, line):
+    with pytest.raises(TowerFormatError) as err:
+        parse_tower(text)
+    assert err.value.line == line
+    assert "fiber dimension must be >= 1" in str(err.value)

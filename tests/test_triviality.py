@@ -4,6 +4,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gbott import (
     CohomRing,
@@ -24,7 +25,13 @@ from gbott import (
 from gbott.errors import PreconditionError
 
 from conftest import hirzebruch
-from oracle_impls import adjacent_swap_order, q_trivial_line_oracle
+from oracle_impls import (
+    adjacent_swap_order,
+    chern_identity_violation,
+    q_trivial_line_oracle,
+    stage_chern_classes,
+    total_chern_trivial_reference,
+)
 from test_cohomology import random_tower
 
 
@@ -51,6 +58,40 @@ def test_q_triviality_matches_line_oracle_on_random_towers():
     for _ in range(150):
         t = random_tower(rng, max_height=3, max_dim=3, bound=2)
         assert is_q_trivial(t) == q_trivial_line_oracle(t)
+
+
+@st.composite
+def sparse_towers(draw, max_height=4, max_dim=3, bound=3):
+    """Towers whose twists are often zero, so that every outcome of a
+    stage (fails, passes, all classes vanish) is drawn."""
+    h = draw(st.integers(1, max_height))
+    entry = st.one_of(st.just(0), st.integers(-bound, bound))
+    stages = []
+    for i in range(1, h + 1):
+        n = draw(st.integers(1, max_dim))
+        rows = tuple(tuple(draw(entry) for _ in range(i - 1)) for _ in range(n))
+        stages.append(StageSpec(n, rows))
+    return TowerSpec(tuple(stages))
+
+
+@given(sparse_towers())
+@settings(max_examples=80, deadline=None)
+def test_table_decider_matches_normal_form_reference(t):
+    from gbott import triviality
+
+    ring = CohomRing(t)
+    table = ring.mult_table()
+    for i, stage in enumerate(t.stages, start=1):
+        k, chern = triviality._first_violated_k(table, stage.coeffs)
+        assert k == chern_identity_violation(t, i)
+        assert chern == all(ring.is_zero(c) for c in stage_chern_classes(t, i)[1:])
+    rep = full_report(t)
+    assert rep.total_chern_trivial == total_chern_trivial_reference(t)
+    assert rep.q_trivial == q_trivial_line_oracle(t)
+    divisible = all(
+        sum(col) % (s.fiber_dim + 1) == 0 for s in t.stages for col in zip(*s.coeffs)
+    )
+    assert rep.z_trivial == (rep.q_trivial and divisible)
 
 
 # -- total Chern triviality -------------------------------------------------------
@@ -303,16 +344,16 @@ def test_full_report_twisted_line_tower():
 
 
 def test_full_report_checks_each_stage_once(monkeypatch):
-    """A Q-trivial tower's stages are checked once each: the
-    decomposition does not decide Q-triviality again."""
+    """A Q-trivial tower's stages are decided once each: neither the
+    total-Chern flag nor the decomposition decides a stage again."""
     from gbott import triviality
 
     calls = []
     check = triviality._first_violated_k
 
-    def counted(ring, stage):
-        calls.append(stage)
-        return check(ring, stage)
+    def counted(table, rows):
+        calls.append(len(rows[0]) + 1)  # stage i's rows have i-1 entries
+        return check(table, rows)
 
     monkeypatch.setattr(triviality, "_first_violated_k", counted)
     t = TowerSpec((StageSpec(1), StageSpec(2, ((0,), (0,))), StageSpec(1, ((2, 0),))))
