@@ -104,7 +104,7 @@ def test_classify_matches_full_report(height, dims, bound):
 def test_classify_mixed_heights_in_any_order():
     towers = [t for shape in CLASSIFY_SHAPES for t in enumerate_towers(*shape)]
     random.Random(7).shuffle(towers)
-    towers = towers[:1500]
+    towers = towers[:1500] + list(enumerate_towers(1, (1, 2, 3), 0))
     assert [f for _, f in classify(towers)] == [_report_flags(t) for t in towers]
 
 
