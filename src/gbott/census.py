@@ -7,6 +7,18 @@ each tuple the twist entries run through [-bound, bound] in row-major
 order across stages.  Re-running an enumeration therefore always yields
 the identical stream.
 
+`enumerate_towers` makes that order as a depth-first walk over the
+levels: each stage's matrices run through the product of the twist
+values, and every one of them is followed by all the towers below it.
+A level's `StageSpec` is built once per visit and shared, as the same
+object, by every tower under it; only the towers themselves are built
+(and validated by `TowerSpec`) one by one.  The walk keeps one pending
+iterator and one stage per level, so memory stays O(height) however
+large the census.  A consumer can tell by identity which stages changed
+since the tower before: `classify` below then compares prefixes at
+almost no cost, and `gbott enumerate` remakes a line's text only for
+the stages that changed.
+
 `classify` gives each tower of a stream the flags of
 `triviality.full_report`.  Stage i is decided in the cohomology of the
 height-(i-1) prefix tower (see gbott.triviality), so the classifier
@@ -67,21 +79,46 @@ def enumerate_towers(
     height: int, dims: tuple[int, ...], coeff_bound: int
 ) -> Iterator[TowerSpec]:
     """All towers of this height with stage dimensions drawn from `dims`
-    and twist entries in [-coeff_bound, coeff_bound]."""
+    and twist entries in [-coeff_bound, coeff_bound], level by level:
+    each stage is built once and shared by every tower below it."""
     dims = tuple(sorted(set(dims)))
     values = range(-coeff_bound, coeff_bound + 1)
     for dim_tuple in itertools.product(dims, repeat=height):
-        entry_counts = [n * (i - 1) for i, n in enumerate(dim_tuple, start=1)]
-        for flat in itertools.product(values, repeat=sum(entry_counts)):
-            stages = []
-            pos = 0
-            for i, n in enumerate(dim_tuple, start=1):
-                rows = []
-                for _ in range(n):
-                    rows.append(tuple(flat[pos:pos + (i - 1)]))
-                    pos += i - 1
-                stages.append(StageSpec(n, tuple(rows)))
-            yield TowerSpec(tuple(stages))
+        yield from _towers_of_shape(dim_tuple, values)
+
+
+def _stages(i: int, n: int, values: range) -> Iterator[StageSpec]:
+    """Every stage i of fiber dimension n, its n x (i-1) twist matrix
+    running through `values` in row-major order."""
+    w = i - 1
+    for flat in itertools.product(values, repeat=n * w):
+        yield StageSpec(n, tuple(flat[j * w:(j + 1) * w] for j in range(n)))
+
+
+def _towers_of_shape(dim_tuple: tuple[int, ...], values: range) -> Iterator[TowerSpec]:
+    """The towers with these fiber dimensions, depth first: pending[k]
+    holds the rest of level k+1's stages, prefix[k] its current stage."""
+    h = len(dim_tuple)
+    if h == 0:
+        yield TowerSpec(())
+        return
+    prefix: list[StageSpec] = []
+    pending = [_stages(1, dim_tuple[0], values)]
+    while pending:
+        level = len(pending)
+        if level == h:
+            base = tuple(prefix)
+            for stage in pending.pop():
+                yield TowerSpec(base + (stage,))
+        else:
+            stage = next(pending[-1], None)
+            if stage is not None:
+                prefix.append(stage)
+                pending.append(_stages(level + 1, dim_tuple[level], values))
+                continue
+            pending.pop()
+        if prefix:
+            prefix.pop()
 
 
 def expected_count(height: int, dims: tuple[int, ...], coeff_bound: int) -> int:

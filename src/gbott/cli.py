@@ -9,12 +9,14 @@ Commands:
     enumerate                   census of towers within bounds
 
 Exit codes: 0 success (or witness found), 1 completed but negative
-(no witness / not decomposable), 2 input error.
+(no witness / not decomposable), 2 input error, 141 stdout closed
+early by its reader (as in `gbott enumerate ... | head`).
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
@@ -27,8 +29,8 @@ from .poly import default_names
 from .tower import (
     TowerSpec,
     load_tower,
-    matrix_line,
     serialize_tower,
+    stage_line,
     vector_matrix_transpose,
 )
 from .triviality import decompose, full_report
@@ -36,6 +38,11 @@ from .triviality import decompose, full_report
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_INPUT = 2
+EXIT_PIPE = 141  # 128 + SIGPIPE, as a shell reports a reader that left
+
+# census lines gathered per write to stdout: enough to make the cost of
+# a write small per line, few enough not to show in peak memory
+_BATCH_LINES = 512
 
 
 def _fail(message: str) -> int:
@@ -165,24 +172,39 @@ def cmd_enumerate(args) -> int:
         coeff_bound=args.bound,
         filters=frozenset(args.filter or ()),
     )
+    # the line ending of each flag combination the filters let through
+    required = tuple(key in config.filters for key in census_mod.FILTER_KEYS)
+    endings = {
+        flags: "  q={} z={} chern={}\n".format(*map(int, flags))
+        for flags in itertools.product((False, True), repeat=3)
+        if all(f or not r for f, r in zip(flags, required))
+    }
+    h = config.height
+    # the stage last seen at each level, and its part of the line; the
+    # census shares stage objects, so a tower remakes only what changed
+    seen: list = [None] * h
+    parts = [""] * h
+    batch: list[str] = []
     combo_counts: dict[tuple[bool, bool, bool], int] = {}
-    total = 0
-    emitted = 0
     towers = census_mod.enumerate_towers(
         config.height, config.dims, config.coeff_bound
     )
     for t, flags in census_mod.classify(towers):
-        q, z, c = flags
         combo_counts[flags] = combo_counts.get(flags, 0) + 1
-        total += 1
-        wanted = (
-            ("q" not in config.filters or q)
-            and ("z" not in config.filters or z)
-            and ("chern" not in config.filters or c)
-        )
-        if wanted:
-            print(f"{matrix_line(t)}  q={int(q)} z={int(z)} chern={int(c)}")
-            emitted += 1
+        ending = endings.get(flags)
+        if ending is None:
+            continue
+        for k, stage in enumerate(t.stages):
+            if stage is not seen[k]:
+                seen[k] = stage
+                parts[k] = stage_line(stage, k + 1, h)
+        batch.append("/".join(parts) + ending)
+        if len(batch) == _BATCH_LINES:
+            sys.stdout.write("".join(batch))
+            batch.clear()
+    sys.stdout.write("".join(batch))
+    total = sum(combo_counts.values())
+    emitted = sum(n for flags, n in combo_counts.items() if flags in endings)
     print(f"# towers: {total} emitted: {emitted}")
     for flags in sorted(combo_counts, reverse=True):
         q, z, c = (int(f) for f in flags)
@@ -259,9 +281,18 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except GbottError as exc:
         return _fail(str(exc))
+    except BrokenPipeError:
+        # point stdout at the null device, so that the flush at exit
+        # does not fail again on the closed pipe
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_PIPE
 
 
 if __name__ == "__main__":

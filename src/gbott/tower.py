@@ -190,10 +190,18 @@ def reduced_characteristic_matrix(t: TowerSpec) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(-x for x in row) for row in vector_matrix_transpose(t))
 
 
+def stage_line(stage: StageSpec, i: int, h: int) -> str:
+    """Stage i's block-row of `matrix_line` in a height-h tower: each
+    row's twists, then 1 in column i and zeros up to column h."""
+    tail = (1,) + (0,) * (h - i)
+    return "/".join(" ".join(map(str, row + tail)) for row in stage.coeffs)
+
+
 def matrix_line(t: TowerSpec) -> str:
     """One-line canonical form of the block matrix: rows joined by '/',
     entries by spaces.  Distinct towers give distinct lines."""
-    return "/".join(" ".join(str(x) for x in row) for row in vector_matrix_transpose(t))
+    h = t.height
+    return "/".join(stage_line(s, i, h) for i, s in enumerate(t.stages, start=1))
 
 
 def permute(t: TowerSpec, s: Permutation) -> TowerSpec:

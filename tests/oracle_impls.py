@@ -4,10 +4,12 @@ Everything here recomputes results by a different route than the
 library: schoolbook term lists instead of dict kernels, lowest-index
 rewriting instead of highest-index, explicit monomial counting instead
 of generating-function convolution, the degree-2 line criterion
-instead of the per-k Chern identities, and those identities decided
+instead of the per-k Chern identities, those identities decided
 through Polynomial products and normal forms instead of the library's
-multiplication tables.  Keep these decoupled from the library
-internals.
+multiplication tables, a census as one flat product of all twist
+entries instead of a walk over levels, and census lines through the
+full block matrix instead of per-stage pieces.  Keep these decoupled
+from the library internals.
 """
 
 from __future__ import annotations
@@ -16,7 +18,14 @@ import itertools
 import math
 from fractions import Fraction
 
-from gbott import CohomRing, Polynomial, TowerSpec, chern_classes
+from gbott import (
+    CohomRing,
+    Polynomial,
+    StageSpec,
+    TowerSpec,
+    chern_classes,
+    vector_matrix_transpose,
+)
 
 
 def schoolbook_mul(p: Polynomial, q: Polynomial) -> Polynomial:
@@ -149,3 +158,27 @@ def adjacent_swap_order(dims: tuple[int, ...]) -> list[int]:
                 order[p], order[p + 1] = right, left
                 changed = True
     return order
+
+
+def enumerate_towers_flat(height: int, dims: tuple[int, ...], coeff_bound: int):
+    """The census stream built tower by tower: for each dimension tuple,
+    one flat product over all twist entries, cut into stages and rows."""
+    dims = tuple(sorted(set(dims)))
+    values = range(-coeff_bound, coeff_bound + 1)
+    for dim_tuple in itertools.product(dims, repeat=height):
+        entry_counts = [n * (i - 1) for i, n in enumerate(dim_tuple, start=1)]
+        for flat in itertools.product(values, repeat=sum(entry_counts)):
+            stages = []
+            pos = 0
+            for i, n in enumerate(dim_tuple, start=1):
+                rows = []
+                for _ in range(n):
+                    rows.append(tuple(flat[pos:pos + (i - 1)]))
+                    pos += i - 1
+                stages.append(StageSpec(n, tuple(rows)))
+            yield TowerSpec(tuple(stages))
+
+
+def matrix_line_via_transpose(t: TowerSpec) -> str:
+    """A census line written out from the whole block matrix."""
+    return "/".join(" ".join(str(x) for x in row) for row in vector_matrix_transpose(t))

@@ -1,8 +1,12 @@
 """Enumeration harness: coverage, determinism, counts."""
 
+import hashlib
+import itertools
 import random
+import time
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from gbott import (
     EnumerationConfig,
@@ -16,6 +20,10 @@ from gbott import (
 from gbott.census import classify
 from gbott.cli import main
 from gbott.errors import GbottError
+from gbott.tower import matrix_line
+
+from test_tower import towers
+from oracle_impls import enumerate_towers_flat, matrix_line_via_transpose
 
 
 def test_config_validation():
@@ -77,6 +85,72 @@ def test_wide_census_q_trivial_iff_untwisted():
         if all(all(x == 0 for x in row) for s in t.stages for row in s.coeffs)
     )
     assert q_count == zero_count == 1
+
+
+# -- the level-by-level walk against the flat reference ------------------------
+
+REFERENCE_SHAPES = [
+    (1, (3,), 0),
+    (2, (1, 2, 3), 1),
+    (3, (1, 2), 1),
+    (4, (1,), 1),
+    (3, (1, 2), 0),
+    (0, (2,), 1),
+]
+
+
+def _assert_matches_flat_reference(height, dims, bound):
+    stream = list(enumerate_towers(height, dims, bound))
+    reference = list(enumerate_towers_flat(height, dims, bound))
+    assert len(stream) == len(reference)
+    for t, ref in zip(stream, reference):
+        assert serialize_tower(t) == serialize_tower(ref)
+        assert matrix_line(t) == matrix_line_via_transpose(ref)
+
+
+@pytest.mark.parametrize("height, dims, bound", REFERENCE_SHAPES)
+def test_stream_matches_flat_reference(height, dims, bound):
+    _assert_matches_flat_reference(height, dims, bound)
+
+
+@given(
+    st.integers(1, 4),
+    st.sets(st.integers(1, 3), min_size=1),
+    st.integers(0, 2),
+)
+@settings(max_examples=25, deadline=None)
+def test_stream_matches_flat_reference_on_random_shapes(height, dims, bound):
+    assume(expected_count(height, tuple(dims), bound) <= 800)
+    _assert_matches_flat_reference(height, tuple(dims), bound)
+
+
+@given(towers())
+@settings(max_examples=100, deadline=None)
+def test_matrix_line_matches_block_matrix_reference(t):
+    assert matrix_line(t) == matrix_line_via_transpose(t)
+
+
+def test_enumeration_shares_each_stage_below_it():
+    """Consecutive towers of one shape hold the same stage object at a
+    level exactly when they agree up to that level."""
+    towers_ = list(enumerate_towers(3, (1, 2), 1))
+    for a, b in zip(towers_, towers_[1:]):
+        if a.dims != b.dims:
+            continue
+        for k in range(3):
+            same_prefix = a.stages[: k + 1] == b.stages[: k + 1]
+            assert (a.stages[k] is b.stages[k]) == same_prefix
+
+
+def test_enumeration_memory_does_not_grow_with_the_census():
+    """The first towers of censuses of 7^10 and 7^12 towers come at once:
+    nothing sized by the census is built before them."""
+    start = time.perf_counter()
+    first = next(enumerate_towers(2, (10,), 3))
+    head = list(itertools.islice(enumerate_towers(3, (4,), 3), 1000))
+    assert time.perf_counter() - start < 5.0
+    assert first.stages[1].coeffs == ((-3,),) * 10
+    assert head == list(itertools.islice(enumerate_towers_flat(3, (4,), 3), 1000))
 
 
 # -- classification ------------------------------------------------------------
@@ -176,3 +250,21 @@ def test_enumerate_filters_select_matching_lines(capsys, filters):
     summary = [line for line in full if line.startswith("#")]
     summary[0] = f"# towers: {len(towers)} emitted: {len(wanted)}"
     assert [line for line in out if line.startswith("#")] == summary
+
+
+# sha256 of the stdout of `gbott enumerate --height 3 --dims 1,2 --bound 1`,
+# as printed when every tower was generated and formatted on its own
+PINNED_STDOUT = {
+    (): "27795a3729ad38789f4e846dafeb909731f974ab53aaec06fe3f5bfd89b164f1",
+    ("q",): "bab0caf4c8af5b51950519bb230bd790a1fe678ac1afc9b4442f5ffe7e8f5302",
+    ("z", "chern"): "39255dd136f1a28d99ec4cd65cb6b4217e538d7f4ba11b85bec33947a7e26791",
+}
+
+
+@pytest.mark.parametrize("filters", list(PINNED_STDOUT), ids=lambda f: "+".join(f) or "all")
+def test_enumerate_stdout_is_pinned(capsys, filters):
+    args = [a for f in filters for a in ("--filter", f)]
+    code = main(["enumerate", "--height", "3", "--dims", "1,2", "--bound", "1", *args])
+    assert code == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_STDOUT[filters]

@@ -1,7 +1,12 @@
 """Command-line interface: outputs, exit codes, determinism."""
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
+import gbott
 from gbott.cli import main
 
 
@@ -253,3 +258,29 @@ def test_enumerate_count_matches_formula(capsys):
     assert code == 0
     records = [l for l in out.splitlines() if not l.startswith("#")]
     assert len(records) == expected_count(2, (1, 2), 1)
+
+
+def test_enumerate_into_a_closed_pipe_exits_141():
+    """As in `gbott enumerate ... | head -2`: when the reader closes the
+    pipe, the census stops with exit code 141 (128 + SIGPIPE) and no
+    traceback."""
+    src = str(pathlib.Path(gbott.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    argv = ["enumerate", "--height", "3", "--dims", "1,2", "--bound", "2"]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "gbott.cli", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    try:
+        lines = [proc.stdout.readline() for _ in range(2)]
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+    finally:
+        proc.kill()
+        proc.wait()
+    assert all(line.endswith(b"\n") and b"  q=" in line for line in lines)
+    assert b"Traceback" not in err and b"Error" not in err
+    assert proc.returncode == 141
