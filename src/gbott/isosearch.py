@@ -25,15 +25,29 @@ The search checks a relation through the target ring's multiplication
 table (`CohomRing.mult_table`): r_j = x_j * prod_k (l_jk + x_j) is a
 product of linear forms, so its image is the unit vector multiplied by
 the image of each factor in turn.  The part of each factor that comes
-from the earlier columns is summed once per search node.
-`relation_residues` and `check_hom` keep the independent path through
-polynomial substitution and normal forms; the tests check one against
-the other.
+from the earlier columns, the offset (the image of l_jk), is summed
+once per search node.  `relation_residues` and `check_hom` keep the
+independent path through polynomial substitution and normal forms; the
+tests check one against the other.
+
+Whether a column passes r_j depends only on j and the node's offsets,
+and not on their order, since the factors commute.  So the columns that
+pass are listed once per key (j, offsets as a multiset) and every node
+with that key reads the same list (`_PassingColumns`).  A list holds
+the passing columns in product order, after the Z gcd filter, and is
+filled lazily: a node reads what earlier nodes listed and tests further
+columns only when it runs past the end.  Each node therefore meets
+exactly the columns it met when it tested all of them itself, in the
+same order, and the first witness does not change.  The rank check
+stays per node, since it depends on the earlier columns themselves.
+A search holds at most `_MEMO_KEYS` keys; a new key past that evicts
+the oldest one.
 
 The search is deterministic.  With workers > 1 the first-column order
 is cut into contiguous ranges, searched by a process pool and read back
 in range order; the first range that holds a witness gives the
-sequential search's witness.
+sequential search's witness.  Each worker keeps one memo for all the
+ranges it searches.
 """
 
 from __future__ import annotations
@@ -105,44 +119,48 @@ class Degree2Map:
         )
 
 
-def _det(rows) -> Fraction:
-    """Exact determinant by Gaussian elimination over Fraction."""
-    n = len(rows)
-    m = [[Fraction(x) for x in row] for row in rows]
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col]), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = 1 / m[col][col]
-        for r in range(col + 1, n):
-            if m[r][col]:
-                f = m[r][col] * inv
-                for c in range(col, n):
-                    m[r][c] -= f * m[col][c]
-    return det
-
-
-def _rank(columns: list[tuple], h: int) -> int:
-    m = [[Fraction(col[i]) for col in columns] for i in range(h)]
-    rank = 0
-    for col in range(len(columns)):
-        pivot = next((r for r in range(rank, h) if m[r][col]), None)
+def _eliminate(m: list[list[int]]) -> tuple[int, int]:
+    """Fraction-free (Bareiss) elimination of the integer matrix m, in
+    place; returns (rank, d), where d is the determinant when m is square
+    and of full rank.  Every division is exact: after each pivot, an
+    entry below it is a minor of the original matrix, and the division
+    is by the previous pivot, itself such a minor."""
+    n_rows, n_cols = len(m), len(m[0]) if m else 0
+    rank, prev, sign = 0, 1, 1
+    for col in range(n_cols):
+        pivot = next((r for r in range(rank, n_rows) if m[r][col]), None)
         if pivot is None:
             continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        inv = 1 / m[rank][col]
-        for r in range(rank + 1, h):
-            if m[r][col]:
-                f = m[r][col] * inv
-                for c in range(col, len(columns)):
-                    m[r][c] -= f * m[rank][c]
+        if pivot != rank:
+            m[rank], m[pivot] = m[pivot], m[rank]
+            sign = -sign
+        top = m[rank]
+        p = top[col]
+        for r in range(rank + 1, n_rows):
+            row = m[r]
+            a = row[col]
+            for c in range(col + 1, n_cols):
+                row[c] = (p * row[c] - a * top[c]) // prev
+        prev = p
         rank += 1
-    return rank
+        if rank == n_rows:
+            break
+    return rank, sign * prev
+
+
+def _det(rows) -> Fraction:
+    """Exact determinant; Fraction entries are brought to a common
+    denominator first."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    den = math.lcm(*(x.denominator for row in m for x in row))
+    scaled = [[x.numerator * (den // x.denominator) for x in row] for row in m]
+    rank, d = _eliminate(scaled)
+    return Fraction(d, den ** len(m)) if rank == len(m) else Fraction(0)
+
+
+def _rank(columns: list[tuple]) -> int:
+    """Rank of a list of integer columns."""
+    return _eliminate([list(col) for col in columns])[0]
 
 
 # -- homomorphism checks -----------------------------------------------------
@@ -221,17 +239,71 @@ def _offsets(rows, columns: list[tuple], h: int) -> list[tuple]:
     ]
 
 
+# keys the passing-column memo of one search holds at once; the oldest
+# key goes when a new one arrives at the cap
+_MEMO_KEYS = 4096
+
+
+class _PassingColumns:
+    """The memo of one search: for each key (depth j, offsets as a
+    multiset), the columns that pass relation r_j, in product order and
+    after the Z gcd filter.  Each list is filled lazily, only as far as
+    some node has read it, and shared by every node with its key."""
+
+    def __init__(self, tgt: CohomRing, over_integers: bool, bound: int):
+        self.table = tgt.mult_table()
+        self.values = _entry_values(bound)
+        self.h = tgt.nvars
+        self.over_integers = over_integers
+        self.lists: dict = {}
+
+    def __call__(self, j: int, offsets: list[tuple]):
+        """Iterator over depth j's passing columns for these offsets."""
+        key = (j, tuple(sorted(offsets)))
+        entry = self.lists.get(key)
+        if entry is None:
+            if len(self.lists) >= _MEMO_KEYS:
+                del self.lists[next(iter(self.lists))]
+            entry = self.lists[key] = ([], self._passing(offsets))
+        return self._read(*entry)
+
+    @staticmethod
+    def _read(found: list, source):
+        i = 0
+        while True:
+            if i == len(found):
+                col = next(source, None)
+                if col is None:
+                    return
+                found.append(col)
+            yield found[i]
+            i += 1
+
+    def passes(self, col: tuple, offsets: list[tuple]) -> bool:
+        """Whether col passes the gcd filter and the relation."""
+        if self.over_integers and math.gcd(*col) != 1:
+            return False  # a unimodular matrix has only primitive columns
+        return not _relation_image(self.table, col, offsets)
+
+    def _passing(self, offsets: list[tuple]):
+        for col in itertools.product(self.values, repeat=self.h):
+            if self.passes(col, offsets):
+                yield col
+
+
 def _search_columns(
     src: CohomRing,
     tgt: CohomRing,
     over_integers: bool,
     bound: int,
     first_column: tuple | None = None,
+    passing: _PassingColumns | None = None,
 ):
-    """Depth-first search over columns; returns one witness or None."""
+    """Depth-first search over columns; returns one witness or None.
+    `passing` is the search's memo, made here when not given."""
     h = src.nvars
-    values = _entry_values(bound)
-    table = tgt.mult_table()
+    if passing is None:
+        passing = _PassingColumns(tgt, over_integers, bound)
     stages = src.tower.stages
     columns: list[tuple] = []
 
@@ -245,16 +317,14 @@ def _search_columns(
                 return None
             return M
         offsets = _offsets(stages[j].coeffs, columns, h)
-        candidates = (first_column,) if (j == 0 and first_column is not None) else (
-            itertools.product(values, repeat=h)
-        )
+        if j == 0 and first_column is not None:
+            passes = passing.passes(first_column, offsets)
+            candidates = (first_column,) if passes else ()
+        else:
+            candidates = passing(j, offsets)
         for col in candidates:
-            if over_integers and math.gcd(*col) != 1:
-                continue  # a unimodular matrix has only primitive columns
             columns.append(col)
-            # relation first: it rejects almost every column, so the
-            # rank elimination only runs on the few survivors
-            if not _relation_image(table, col, offsets) and _rank(columns, h) == j + 1:
+            if _rank(columns) == j + 1:
                 found = rec(j + 1)
                 if found is not None:
                     return found
@@ -301,6 +371,8 @@ def _init_worker(src, tgt, over_integers, bound, stop):
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     _WORK["args"] = (src, tgt, over_integers, bound)
     _WORK["stop"] = stop
+    # one memo per worker, shared by all the ranges it searches
+    _WORK["passing"] = _PassingColumns(tgt, over_integers, bound)
 
 
 def _run_chunk(chunk):
@@ -313,7 +385,9 @@ def _run_chunk(chunk):
     for col in itertools.islice(order, start, end):
         if _WORK["stop"].is_set():
             return None
-        found = _search_columns(src, tgt, over_integers, bound, first_column=col)
+        found = _search_columns(
+            src, tgt, over_integers, bound, first_column=col, passing=_WORK["passing"]
+        )
         if found is not None:
             return found
     return None

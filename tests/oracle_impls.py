@@ -7,8 +7,11 @@ of generating-function convolution, the degree-2 line criterion
 instead of the per-k Chern identities, those identities decided
 through Polynomial products and normal forms instead of the library's
 multiplication tables, a census as one flat product of all twist
-entries instead of a walk over levels, and census lines through the
-full block matrix instead of per-stage pieces.  Keep these decoupled
+entries instead of a walk over levels, census lines through the
+full block matrix instead of per-stage pieces, Gaussian elimination
+over Fraction instead of fraction-free elimination, and an isomorphism
+search that runs the relation check on every column of every node
+instead of sharing each depth's passing columns.  Keep these decoupled
 from the library internals.
 """
 
@@ -182,3 +185,97 @@ def enumerate_towers_flat(height: int, dims: tuple[int, ...], coeff_bound: int):
 def matrix_line_via_transpose(t: TowerSpec) -> str:
     """A census line written out from the whole block matrix."""
     return "/".join(" ".join(str(x) for x in row) for row in vector_matrix_transpose(t))
+
+
+def fraction_det(rows) -> Fraction:
+    """Determinant by Gaussian elimination over Fraction."""
+    n = len(rows)
+    m = [[Fraction(x) for x in row] for row in rows]
+    det = Fraction(1)
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if m[r][col]), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != col:
+            m[col], m[pivot] = m[pivot], m[col]
+            det = -det
+        det *= m[col][col]
+        inv = 1 / m[col][col]
+        for r in range(col + 1, n):
+            if m[r][col]:
+                f = m[r][col] * inv
+                for c in range(col, n):
+                    m[r][c] -= f * m[col][c]
+    return det
+
+
+def fraction_rank(columns: list[tuple], h: int) -> int:
+    """Rank of columns of length h by Gaussian elimination over Fraction."""
+    m = [[Fraction(col[i]) for col in columns] for i in range(h)]
+    rank = 0
+    for col in range(len(columns)):
+        pivot = next((r for r in range(rank, h) if m[r][col]), None)
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        inv = 1 / m[rank][col]
+        for r in range(rank + 1, h):
+            if m[r][col]:
+                f = m[r][col] * inv
+                for c in range(col, len(columns)):
+                    m[r][c] -= f * m[rank][c]
+        rank += 1
+    return rank
+
+
+def _times_linear(table, vec: dict, form) -> dict:
+    """vec * sum_i form[i] X_(i+1) through a ring's multiplication table."""
+    out: dict = {}
+    for i, w in enumerate(form):
+        for b, c in vec.items():
+            for t, tc in table[i][b]:
+                out[t] = out.get(t, 0) + c * w * tc
+    return {t: c for t, c in out.items() if c}
+
+
+def search_iso_reference(
+    src: CohomRing, tgt: CohomRing, over_integers: bool, bound: int
+) -> tuple | None:
+    """The bounded isomorphism search node by node, with no memo: at each
+    depth every column of the product order (entries 0, 1, -1, 2, ...)
+    is tested against the depth's relation, then the rank of the partial
+    matrix is checked.  Returns the first witness's matrix, or None."""
+    if basis_rank_counts(src.tower) != basis_rank_counts(tgt.tower):
+        return None
+    h = src.nvars
+    values = [0] + [v for a in range(1, bound + 1) for v in (a, -a)]
+    table = tgt.mult_table()
+    columns: list[tuple] = []
+
+    def relation_vanishes(j: int, col: tuple) -> bool:
+        vec = _times_linear(table, {0: 1}, col)
+        for row in src.tower.stages[j].coeffs:
+            off = [sum(a * columns[m][i] for m, a in enumerate(row)) for i in range(h)]
+            vec = _times_linear(table, vec, [c + o for c, o in zip(col, off)])
+        return not vec
+
+    def rec(j: int):
+        if j == h:
+            matrix = tuple(tuple(columns[c][r] for c in range(h)) for r in range(h))
+            if over_integers and abs(fraction_det(matrix)) != 1:
+                return None
+            return matrix
+        for col in itertools.product(values, repeat=h):
+            if over_integers and math.gcd(*col) != 1:
+                continue
+            if not relation_vanishes(j, col):
+                continue
+            columns.append(col)
+            if fraction_rank(columns, h) == j + 1:
+                found = rec(j + 1)
+                if found is not None:
+                    return found
+            columns.pop()
+        return None
+
+    return rec(0)

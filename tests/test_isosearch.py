@@ -18,6 +18,8 @@ import gbott
 from gbott import (
     CohomRing,
     Degree2Map,
+    StageSpec,
+    TowerSpec,
     check_hom,
     enumerate_towers,
     is_iso,
@@ -27,10 +29,12 @@ from gbott import (
     search_iso,
     z_trivial_oracle,
 )
+from gbott import isosearch
 from gbott.errors import PreconditionError
-from gbott.isosearch import _offsets, _relation_image
+from gbott.isosearch import _det, _offsets, _rank, _relation_image
 
 from conftest import hirzebruch
+from oracle_impls import fraction_det, fraction_rank, search_iso_reference
 from test_cohomology import random_tower
 from test_tower import towers
 
@@ -156,6 +160,30 @@ def test_z_iso_implies_q_iso():
         assert is_iso(M, ring, ring, over_integers=False)
 
 
+# -- fraction-free elimination ----------------------------------------------------
+
+sparse_entries = st.one_of(st.just(0), st.integers(-4, 4))
+
+
+@given(st.integers(0, 4).flatmap(
+    lambda n: st.lists(st.lists(sparse_entries, min_size=n, max_size=n),
+                       min_size=n, max_size=n)))
+@settings(max_examples=200, deadline=None)
+def test_det_matches_fraction_elimination(rows):
+    assert _det(rows) == fraction_det(rows)
+    halves = [[Fraction(x, 2 + i) for i, x in enumerate(row)] for row in rows]
+    assert _det(halves) == fraction_det(halves)
+
+
+@given(st.integers(1, 4).flatmap(
+    lambda h: st.lists(st.tuples(*[sparse_entries] * h), min_size=1, max_size=h + 1)
+    .map(lambda cols: (cols, h))))
+@settings(max_examples=200, deadline=None)
+def test_rank_matches_fraction_elimination(case):
+    columns, h = case
+    assert _rank(columns) == fraction_rank(columns, h)
+
+
 # -- search --------------------------------------------------------------------
 
 def test_search_finds_rational_witness(qtwin_a, qtwin_b):
@@ -205,6 +233,104 @@ def test_parallel_search_agrees_with_sequential(qtwin_a, qtwin_b):
         assert seq is not None and par is not None
         assert par.matrix == seq.matrix
     assert search_iso(src, tgt, over_integers=True, bound=4, workers=2) is None
+
+
+@st.composite
+def search_pairs(draw, height):
+    """A source and a target of one shape, each the product tower or a
+    twisted tower of that shape."""
+    dims = tuple(draw(st.integers(1, 2)) for _ in range(height))
+
+    def side():
+        if draw(st.booleans()):
+            return product_tower(dims)
+        twist = st.integers(-2, 2)
+        return TowerSpec(tuple(
+            StageSpec(n, tuple(tuple(draw(twist) for _ in range(i)) for _ in range(n)))
+            for i, n in enumerate(dims)
+        ))
+
+    return side(), side()
+
+
+@pytest.mark.parametrize("over_integers", [False, True], ids=["q", "z"])
+@pytest.mark.parametrize("height", [1, 2, 3])
+@given(data=st.data())
+@settings(max_examples=8, deadline=None)
+def test_search_returns_reference_witness(over_integers, height, data):
+    """The memoised search, sequential and through the pool, returns the
+    witness of the node-by-node reference search at every bound."""
+    t_src, t_tgt = data.draw(search_pairs(height))
+    src, tgt = CohomRing(t_src), CohomRing(t_tgt)
+    for bound in (1, 2, 3):
+        expected = search_iso_reference(src, tgt, over_integers, bound)
+        for workers in (1, 2):
+            found = search_iso(src, tgt, over_integers, bound, workers=workers)
+            assert (found and found.matrix) == expected, (bound, workers)
+
+
+class _RecordingMemo(isosearch._PassingColumns):
+    """The search's memo, keeping every instance and its largest size."""
+
+    made: list = []
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.peak = 0
+        self.made.append(self)
+
+    def __call__(self, j, offsets):
+        columns = super().__call__(j, offsets)
+        self.peak = max(self.peak, len(self.lists))
+        return columns
+
+
+@pytest.fixture
+def memos(monkeypatch):
+    made = []
+    monkeypatch.setattr(_RecordingMemo, "made", made)
+    monkeypatch.setattr(isosearch, "_PassingColumns", _RecordingMemo)
+    return made
+
+
+def test_relation_checked_once_per_key_and_column(monkeypatch, memos):
+    """Each relation image is computed at most once per memo key and
+    column: a product source has one key per depth, so an exhaustive
+    search at bound b makes at most h * (2b+1)^h relation images (the
+    node-by-node search made 29 155 on this pair)."""
+    calls = []
+    relation_image = isosearch._relation_image
+    monkeypatch.setattr(
+        isosearch, "_relation_image",
+        lambda *args: calls.append(1) or relation_image(*args),
+    )
+    src = CohomRing(product_tower((1, 1, 2)))
+    tgt = CohomRing(TowerSpec((
+        StageSpec(1), StageSpec(1, ((0,),)), StageSpec(2, ((-1, 1), (-1, -2))),
+    )))
+    assert search_iso(src, tgt, over_integers=False, bound=3) is None
+    (memo,) = memos
+    assert len(memo.lists) == 3
+    assert len(calls) <= len(memo.lists) * 7 ** 3
+
+
+def test_memo_cap_keeps_witnesses(monkeypatch, memos, qtwin_a, qtwin_b):
+    """With room for one key only, the memo evicts on every new key and
+    the witnesses stay the same."""
+    monkeypatch.setattr(isosearch, "_MEMO_KEYS", 1)
+    src, tgt = rings(qtwin_a, qtwin_b)
+    M = search_iso(src, tgt, over_integers=False, bound=2)
+    assert M.matrix == ((2, 0), (0, 1))
+    lines = CohomRing(product_tower((1, 1)))
+    M = search_iso(lines, CohomRing(hirzebruch(4)), over_integers=True, bound=5)
+    assert M.matrix == ((1, 2), (0, 1))
+    M = search_iso(lines, CohomRing(hirzebruch(-4)), over_integers=True, bound=2)
+    assert M.matrix == ((1, 2), (0, -1))
+    assert len(memos) == 3
+    assert all(memo.peak == 1 for memo in memos)
+    # pool workers inherit the cap
+    M = search_iso(src, tgt, over_integers=False, bound=2, workers=2)
+    assert M.matrix == ((2, 0), (0, 1))
 
 
 def _run_child(script: str, timeout: float, interrupt_after: float | None = None):
@@ -263,7 +389,7 @@ def test_interrupted_parallel_search_exits():
         from gbott import CohomRing, StageSpec, TowerSpec, product_tower, search_iso
 
         t = TowerSpec((StageSpec(1), StageSpec(1, ((2,),)), StageSpec(1, ((-2, 1),))))
-        src, tgt = CohomRing(product_tower((1, 1, 1))), CohomRing(t)
+        src, tgt = CohomRing(t), CohomRing(product_tower((1, 1, 1)))
         print("started", flush=True)
         search_iso(src, tgt, over_integers=False, bound=8, workers=2)
         """,
