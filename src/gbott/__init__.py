@@ -9,9 +9,8 @@ Q-trivial towers into bundle-over-Bott-tower form, and searches for
 explicit degree-2 ring isomorphisms between two towers by exhaustive
 bounded enumeration.
 
-All arithmetic is exact (arbitrary-precision integers and rationals).
-The polynomial kernels run on a compiled Cython core when available and
-fall back to pure Python; see gbott.backend.
+All arithmetic is exact (arbitrary-precision integers and rationals),
+in pure Python.
 """
 
 from .backend import KERNEL_NAME as kernel_backend

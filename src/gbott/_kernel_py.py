@@ -16,9 +16,10 @@ no function here ever needs to care which kind it is holding.
 The zero polynomial is the empty dict.  No stored coefficient is ever
 zero; every function below preserves that.
 
-`gbott._kernel_c` is a compiled twin of this module with the same
-functions and semantics; `gbott.backend` picks one at import time.
-Keep the two files in lockstep.
+`preduce` (triangular rewriting) and `psubst` (substitution) are no
+longer on any library path: rings multiply through their tables (see
+gbott.cohomology).  They stay here as the reference routes the tests and
+the benchmark's per-layer counters read.
 """
 
 

@@ -1,57 +1,11 @@
-"""Kernel backend selection.
+"""The polynomial kernel under the names the benchmark reads.
 
-The polynomial kernels exist twice: compiled (`gbott._kernel_c`, built
-from Cython) and pure Python (`gbott._kernel_py`).  At import time this
-module picks the compiled one when available and falls back to pure
-Python otherwise.  Set the environment variable GBOTT_KERNEL to
-"c"/"cython" or "py"/"python" to force a choice (useful for the
-benchmark in benchmarks/bench_backends.py and for debugging).
+gbott has one kernel, the pure-Python `gbott._kernel_py`.  This module
+keeps `kernel` and `KERNEL_NAME` for perfbench, whose tracer wraps
+`kernel.pmul`/`psubst`/`preduce` and whose set-up probe prints
+`gbott.kernel_backend`.
 """
 
-import importlib
-import os
+from . import _kernel_py as kernel
 
-ENV_VAR = "GBOTT_KERNEL"
-
-_MODULES = {"c": "gbott._kernel_c", "py": "gbott._kernel_py"}
-_ALIASES = {
-    "c": "c",
-    "cython": "c",
-    "compiled": "c",
-    "py": "py",
-    "python": "py",
-    "pure": "py",
-}
-
-
-def load_kernel(name):
-    """Import one specific kernel module ("c" or "py")."""
-    return importlib.import_module(_MODULES[name])
-
-
-def available_backends():
-    """Map of backend name -> kernel module, for whatever is importable."""
-    out = {}
-    for name in _MODULES:
-        try:
-            out[name] = load_kernel(name)
-        except ImportError:
-            pass
-    return out
-
-
-def _select():
-    raw = os.environ.get(ENV_VAR, "auto").strip().lower()
-    if raw in ("", "auto"):
-        try:
-            return "c", load_kernel("c")
-        except ImportError:
-            return "py", load_kernel("py")
-    name = _ALIASES.get(raw)
-    if name is None:
-        choices = ", ".join(sorted(_ALIASES))
-        raise RuntimeError(f"{ENV_VAR}={raw!r}: expected one of {choices} or 'auto'")
-    return name, load_kernel(name)
-
-
-KERNEL_NAME, kernel = _select()
+KERNEL_NAME = "py"

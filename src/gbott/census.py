@@ -23,14 +23,16 @@ the stages that changed.
 `triviality.full_report`.  Stage i is decided in the cohomology of the
 height-(i-1) prefix tower (see gbott.triviality), so the classifier
 keeps one state per level: the last prefix it saw, its ring's
-multiplication table and its flags so far.  A
-tower that shares a prefix with the tower before it pays only for the
-stages after that prefix; in the row-major order above that is usually
-its last stage alone, decided on the shared table.  A tower whose prefix
-already fails is not Q-trivial, Z-trivial or Chern-trivial, with no
-further work.  The state is compared stage by stage with each tower, so
-the flags do not depend on the order of the stream, and memory stays
-O(height).
+multiplication table (in block order, see gbott.cohomology) and its
+flags so far.  A prefix's table is the one below it extended by the
+stage's Chern classes, which the stage's decision has just built; no
+`CohomRing` is made.  A tower that shares a prefix with the tower
+before it pays only for the stages after that prefix; in the row-major
+order above that is usually its last stage alone, decided on the shared
+table.  A tower whose prefix already fails is not Q-trivial, Z-trivial
+or Chern-trivial, with no further work.  The state is compared stage by
+stage with each tower, so the flags do not depend on the order of the
+stream, and memory stays O(height).
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .cohomology import CohomRing
+from .cohomology import extend_table
 from .errors import GbottError
 from .tower import StageSpec, TowerSpec
 from .triviality import (
@@ -138,7 +140,7 @@ class _Prefix:
     and its flags so far (Q-trivial so far iff `table` is not None)."""
 
     stage: StageSpec | None
-    table: tuple | None  # the prefix ring's mult_table; None once a stage fails
+    table: tuple | None  # the prefix ring's table, block order; None once a stage fails
     z: bool
     chern: bool
 
@@ -148,19 +150,21 @@ _EMPTY = _Prefix(stage=None, table=(), z=True, chern=True)
 
 
 def _extend(prev: _Prefix, stages: tuple[StageSpec, ...]) -> _Prefix:
-    """The state of the prefix `stages`, from that of stages[:-1]."""
+    """The state of the prefix `stages`, from that of stages[:-1]: the
+    last stage is decided on the table before it, and a passing stage
+    extends that table by the classes the decision built."""
     if prev.table is None:
         return _Prefix(stages[-1], None, False, False)
     prefix = TowerSpec(stages)
-    d, chern = _decide_stage(prefix, len(stages), prev.table)
+    d, chern, classes = _decide_stage(prefix, len(stages), prev.table)
     if not d.passed:
         return _Prefix(stages[-1], None, False, False)
-    ring = CohomRing(prefix)
+    table = extend_table(prev.table, prefix.dims[:-1], classes)
     if __debug__:
-        _assert_candidate_vanishes(ring, d)
+        _assert_candidate_vanishes(table, d)
     return _Prefix(
         stages[-1],
-        ring.mult_table(),
+        table,
         prev.z and d.candidate.scale == 1,
         prev.chern and chern,
     )
@@ -170,11 +174,11 @@ def _last_stage(t: TowerSpec, prev: _Prefix) -> tuple[bool, bool, bool]:
     """(q, z, chern) of t, given the state of its height-(h-1) prefix."""
     if prev.table is None:
         return False, False, False
-    d, chern = _decide_stage(t, t.height, prev.table)
+    d, chern, classes = _decide_stage(t, t.height, prev.table)
     if not d.passed:
         return False, False, False
     if __debug__:
-        _assert_candidate_vanishes(CohomRing(t), d)
+        _assert_candidate_vanishes(extend_table(prev.table, t.dims[:-1], classes), d)
     _reorder(t)  # raises if the Q-trivial tower resists the decomposition
     return True, prev.z and d.candidate.scale == 1, prev.chern and chern
 

@@ -22,20 +22,21 @@ whose entries have a common factor is skipped, since a unimodular
 matrix has only primitive columns.
 
 The search checks a relation through the target ring's multiplication
-table (`CohomRing.mult_table`): r_j = x_j * prod_k (l_jk + x_j) is a
-product of linear forms, so its image is the unit vector multiplied by
-the image of each factor in turn.  The part of each factor that comes
-from the earlier columns, the offset (the image of l_jk), is summed
-once per search node.  `relation_residues` and `check_hom` keep the
-independent path through polynomial substitution and normal forms; the
-tests check one against the other.
+table (`CohomRing.block_table`): r_j = x_j * prod_k (l_jk + x_j) is a
+product of linear forms, so its image is the column's own vector (the
+image of x_j) multiplied by the image of each further factor in turn.
+The part of each factor that comes from the earlier columns, the offset
+(the image of l_jk), is summed once per search node.  `relation_residues`
+and `check_hom` take the same path; the tests check it against
+polynomial substitution and rewriting in tests/oracle_impls.py.
 
-Whether a column passes r_j depends only on j and the node's offsets,
-and not on their order, since the factors commute.  So the columns that
-pass are listed once per key (j, offsets as a multiset) and every node
-with that key reads the same list (`_PassingColumns`).  A list holds
-the passing columns in product order, after the Z gcd filter, and is
-filled lazily: a node reads what earlier nodes listed and tests further
+Whether a column passes r_j depends only on the node's offsets, and not
+on their order, since the factors commute; the depth j enters only
+through them (their number is n_j).  So the columns that pass are listed
+once per key (the offsets as a multiset), and every node with that key,
+at any depth, reads the same list (`_PassingColumns`).  A list holds the
+passing columns in product order, after the Z gcd filter, and is filled
+lazily: a node reads what earlier nodes listed and tests further
 columns only when it runs past the end.  Each node therefore meets
 exactly the columns it met when it tested all of them itself, in the
 same order, and the first witness does not change.  The rank check
@@ -54,12 +55,10 @@ from __future__ import annotations
 
 import itertools
 import math
-import multiprocessing
 import signal
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .backend import kernel as _k
 from .cohomology import CohomRing, times_form
 from .errors import DimensionMismatch, PreconditionError
 from .poly import Polynomial
@@ -97,21 +96,6 @@ class Degree2Map:
 
     def det(self) -> Fraction:
         return _det(self.matrix)
-
-    def images(self) -> list[dict]:
-        """Kernel-level image polynomials, one per source generator."""
-        h = self.size
-        out = []
-        for j in range(h):
-            img = {}
-            for i in range(h):
-                c = self.matrix[i][j]
-                if c:
-                    e = [0] * h
-                    e[i] = 1
-                    img[tuple(e)] = c
-            out.append(img)
-        return out
 
     def serialize(self) -> str:
         return "\n".join(
@@ -169,19 +153,22 @@ def _rank(columns: list[tuple]) -> int:
 def relation_residues(
     M: Degree2Map, src: CohomRing, tgt: CohomRing
 ) -> tuple[Polynomial, ...]:
-    """Normal forms in the target of the images of all source relations;
-    the map is a well-defined homomorphism iff all are zero."""
+    """Normal forms in the target of the images of all source relations,
+    through the target's multiplication table; the map is a
+    well-defined homomorphism iff all are zero."""
     if src.nvars != tgt.nvars or M.size != src.nvars:
         raise DimensionMismatch(
             f"map of size {M.size} between rings with {src.nvars} and "
             f"{tgt.nvars} generators"
         )
-    images = M.images()
-    out = []
-    for rel in src.relations:
-        image = _k.psubst(rel._terms, images, tgt.nvars)
-        out.append(Polynomial._wrap(tgt._reduce(image), tgt.nvars))
-    return tuple(out)
+    table = tgt.block_table()
+    columns = [M.column(j) for j in range(1, M.size + 1)]
+    return tuple(
+        tgt.polynomial(
+            _relation_image(table, columns[j], _offsets(stage.coeffs, columns[:j], M.size))
+        )
+        for j, stage in enumerate(src.tower.stages)
+    )
 
 
 def check_hom(
@@ -222,8 +209,10 @@ def _entry_values(bound: int) -> tuple[int, ...]:
 
 def _relation_image(table, col, offsets) -> dict:
     """Image of r_j = x_j * prod_k (l_jk + x_j) as a sparse basis vector,
-    when x_j maps to col and l_jk to offsets[k]; empty iff it is zero."""
-    vec = times_form(table, {0: 1}, col)
+    when x_j maps to col and l_jk to offsets[k]; empty iff it is zero.
+    The image of x_j is col's own vector: X_i maps the unit to the basis
+    monomial x_i."""
+    vec = {table[i][0][0][0]: c for i, c in enumerate(col) if c}
     for off in offsets:
         if not vec:
             break
@@ -245,21 +234,23 @@ _MEMO_KEYS = 4096
 
 
 class _PassingColumns:
-    """The memo of one search: for each key (depth j, offsets as a
-    multiset), the columns that pass relation r_j, in product order and
-    after the Z gcd filter.  Each list is filled lazily, only as far as
-    some node has read it, and shared by every node with its key."""
+    """The memo of one search: for each key (offsets as a multiset), the
+    columns that pass the relation x_j * prod_k (l_jk + x_j), in product
+    order and after the Z gcd filter.  The image depends on the depth j
+    only through the offsets, so depths with equal offsets share a list.
+    Each list is filled lazily, only as far as some node has read it,
+    and shared by every node with its key."""
 
     def __init__(self, tgt: CohomRing, over_integers: bool, bound: int):
-        self.table = tgt.mult_table()
+        self.table = tgt.block_table()
         self.values = _entry_values(bound)
         self.h = tgt.nvars
         self.over_integers = over_integers
         self.lists: dict = {}
 
-    def __call__(self, j: int, offsets: list[tuple]):
-        """Iterator over depth j's passing columns for these offsets."""
-        key = (j, tuple(sorted(offsets)))
+    def __call__(self, offsets: list[tuple]):
+        """Iterator over the passing columns for these offsets."""
+        key = tuple(sorted(offsets))
         entry = self.lists.get(key)
         if entry is None:
             if len(self.lists) >= _MEMO_KEYS:
@@ -321,7 +312,7 @@ def _search_columns(
             passes = passing.passes(first_column, offsets)
             candidates = (first_column,) if passes else ()
         else:
-            candidates = passing(j, offsets)
+            candidates = passing(offsets)
         for col in candidates:
             columns.append(col)
             if _rank(columns) == j + 1:
@@ -394,10 +385,12 @@ def _run_chunk(chunk):
 
 
 def _parallel_search(src, tgt, over_integers, bound, workers):
+    import multiprocessing  # here, so that a sequential run never loads it
+
     total = (2 * bound + 1) ** src.nvars
     size = -(-total // (workers * _RANGES_PER_WORKER))
     ranges = ((s, min(s + size, total)) for s in range(0, total, size))
-    tgt.mult_table()  # built once here; the forked workers inherit it
+    tgt.block_table()  # built once here; the forked workers inherit it
     ctx = multiprocessing.get_context("fork")
     stop = ctx.Event()
     pool = ctx.Pool(

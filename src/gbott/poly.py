@@ -22,7 +22,7 @@ from fractions import Fraction
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
-from .backend import kernel as _k
+from . import _kernel_py as _k
 from .errors import DimensionMismatch, PolynomialSyntaxError
 
 Coefficient = int | Fraction

@@ -21,17 +21,22 @@ with unit diagonal, hence unimodular, and the z_i present the product
 ring.  This divisibility criterion is cross-checked against the
 brute-force search in gbott.isosearch by the test suite.
 
-Each stage is decided once, on a ring's multiplication table
-(`CohomRing.mult_table`): c_0..c_n are sparse basis vectors built as
-elementary symmetric functions of the rows' linear forms, one table map
-per row, and c_1^k is one more application of the map for c_1 per k.
-The candidate and its scale come in closed form from the column sums of
-the rows.  Stage i's classes involve only x_1..x_(i-1), and the
-quotient by the first i-1 relations embeds in the whole ring, so stage
-i holds or fails already in the cohomology of the height-(i-1) prefix
-tower; gbott.census uses this to decide a prefix shared by many towers
-once.  The normal-form computation of the same identities is kept in
-the tests as the independent reference.
+Each stage is decided once, on a multiplication table: c_0..c_n are
+sparse basis vectors built as elementary symmetric functions of the
+rows' linear forms, one table map per row, and c_1^k is one more
+application of the map for c_1 per k.  The candidate and its scale come
+in closed form from the column sums of the rows.  Stage i's classes
+involve only x_1..x_(i-1), and the quotient by the first i-1 relations
+embeds in the whole ring, so stage i holds or fails already in the
+cohomology R_(i-1) of the height-(i-1) prefix tower.  The deciders
+therefore walk the stages in order, deciding stage i on R_(i-1)'s table
+and extending that table by the stage's own classes
+(`cohomology.extend_table`) only when stage i+1 needs it: the last
+generator's map is never built, and `is_q_trivial` stops at the first
+failing stage.  Their `ring` argument is accepted for compatibility and
+not read.  gbott.census shares each prefix's table among the many
+towers above it.  The normal-form computation of the same identities is
+kept in the tests as the independent reference.
 
 Every Q-trivial tower can be reordered, by conjugating with an
 admissible permutation, so that all n_i = 1 stages come first and no
@@ -44,7 +49,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .cohomology import CohomRing, times_form
+from .cohomology import CohomRing, extend_table, stage_classes, times_form
 from .errors import (
     InadmissiblePermutation,
     InternalConsistencyError,
@@ -192,27 +197,24 @@ def _yn(flag: bool) -> str:
 # -- per-stage analysis ------------------------------------------------------
 
 
-def _first_violated_k(table, rows) -> tuple[int | None, bool]:
+def _first_violated_k(table, rows) -> tuple[int | None, bool, list[dict]]:
     """Decide the stage whose twist rows are `rows` (n rows of i-1
     entries) in any ring whose first generators are x_1..x_(i-1), given
-    by its multiplication table (`CohomRing.mult_table`).
+    by its multiplication table in either order (`CohomRing.mult_table`,
+    `CohomRing.block_table`, or a prefix table from `extend_table`).
 
-    Returns (k, chern): k is the smallest k in 1..n+1 where
+    Returns (k, chern, classes): k is the smallest k in 1..n+1 where
     (n+1)^k c_k != binom(n+1,k) c_1^k, or None if every identity holds;
-    chern is True iff every c_k, k >= 1, is zero.  A stage whose
-    classes all vanish passes every identity, so chern implies k is None.
+    chern is True iff every c_k, k >= 1, is zero; classes are c_0..c_n
+    as sparse basis vectors (`cohomology.stage_classes`), from which
+    the caller may extend the table by the stage.  A stage whose
+    classes all vanish passes every identity, so chern implies k is
+    None.
 
-    The c_k are sparse basis vectors, built as elementary symmetric
-    functions of the rows' linear forms one row at a time; c_1 is the
-    form of the rows' column sums, and c_1^k one more multiplication by
-    it per k.  The k = 1 identity holds trivially.
+    c_1 is the form of the rows' column sums, and c_1^k one more
+    multiplication by it per k.  The k = 1 identity holds trivially.
     """
-    classes = [{0: 1}]  # c_0..c_j of the first j rows
-    for row in rows:
-        step = [times_form(table, c, row) for c in classes]
-        classes = [classes[0]] + [
-            _vec_add(classes[k], step[k - 1]) for k in range(1, len(classes))
-        ] + [step[-1]]
+    classes = stage_classes(table, rows)
     n = len(rows)
     c1_form = [sum(col) for col in zip(*rows)]
     power = classes[1]
@@ -223,19 +225,8 @@ def _first_violated_k(table, rows) -> tuple[int | None, bool]:
         if ck.keys() != power.keys() or any(
             a * c != b * power[m] for m, c in ck.items()
         ):
-            return k, False
-    return None, not any(classes[1:])
-
-
-def _vec_add(u: dict, v: dict) -> dict:
-    out = dict(u)
-    for m, c in v.items():
-        s = out.get(m, 0) + c
-        if s:
-            out[m] = s
-        else:
-            del out[m]
-    return out
+            return k, False, classes
+    return None, not any(classes[1:]), classes
 
 
 def _candidate(t: TowerSpec, stage: int) -> GeneratorCandidate:
@@ -251,73 +242,94 @@ def _candidate(t: TowerSpec, stage: int) -> GeneratorCandidate:
     )
 
 
-def _decide_stage(t: TowerSpec, stage: int, table) -> tuple[StageDiagnostic, bool]:
+def _decide_stage(
+    t: TowerSpec, stage: int, table
+) -> tuple[StageDiagnostic, bool, list[dict]]:
     """Stage `stage` of t decided on `table`, the multiplication table of
     a ring whose first generators are x_1..x_(stage-1): its diagnostic,
-    and whether its Chern classes all vanish."""
-    k, chern = _first_violated_k(table, t.stages[stage - 1].coeffs)
+    whether its Chern classes all vanish, and the classes themselves."""
+    k, chern, classes = _first_violated_k(table, t.stages[stage - 1].coeffs)
     n = t.dims[stage - 1]
     if k is not None:
-        return StageDiagnostic(stage=stage, fiber_dim=n, violated_k=k), False
-    return StageDiagnostic(stage=stage, fiber_dim=n, candidate=_candidate(t, stage)), chern
+        return StageDiagnostic(stage=stage, fiber_dim=n, violated_k=k), False, classes
+    d = StageDiagnostic(stage=stage, fiber_dim=n, candidate=_candidate(t, stage))
+    return d, chern, classes
 
 
-def _assert_candidate_vanishes(ring: CohomRing, d: StageDiagnostic) -> None:
-    """Debug check, through normal forms rather than the table: a passing
-    stage's candidate has vanishing (n+1)-st power in a ring holding
-    x_1..x_stage."""
-    power = d.candidate.vector.to_polynomial() ** (d.fiber_dim + 1)
-    assert ring.is_zero(power), "candidate power fails to vanish"
+def _assert_candidate_vanishes(table, d: StageDiagnostic) -> None:
+    """Debug check: a passing stage's candidate has vanishing (n+1)-st
+    power in the ring whose table is `table` and whose first generators
+    are x_1..x_stage; n+1 applications of the candidate's form."""
+    form = d.candidate.vector.coeffs[: d.stage]
+    power = {0: 1}
+    for _ in range(d.fiber_dim + 1):
+        power = times_form(table, power, form)
+    assert not power, "candidate power fails to vanish"
 
 
-def _diagnose(t: TowerSpec, ring: CohomRing) -> tuple[tuple[StageDiagnostic, ...], bool]:
-    """Every stage decided once on the tower's own table: the
-    diagnostics, and whether every Chern class vanishes."""
-    table = ring.mult_table()
+def _diagnose(t: TowerSpec) -> tuple[tuple[StageDiagnostic, ...], bool]:
+    """Every stage decided once, stage i on the table of the height-(i-1)
+    prefix: the diagnostics, and whether every Chern class vanishes.
+    The last generator's map is built only for the debug check."""
     out = []
     chern = True
+    table = ()
     for i in range(1, t.height + 1):
-        d, stage_chern = _decide_stage(t, i, table)
-        if __debug__ and d.passed:
-            _assert_candidate_vanishes(ring, d)
+        d, stage_chern, classes = _decide_stage(t, i, table)
         out.append(d)
         chern = chern and stage_chern
+        check = __debug__ and d.passed
+        if i < t.height or check:
+            table = extend_table(table, t.dims[: i - 1], classes)
+        if check:
+            _assert_candidate_vanishes(table, d)
     return tuple(out), chern
 
 
 def stage_diagnostics(t: TowerSpec, ring: CohomRing | None = None) -> tuple[StageDiagnostic, ...]:
     """For each stage, the first violated Chern identity or, when the
     stage passes, its generator candidate."""
-    return _diagnose(t, ring or CohomRing(t))[0]
+    return _diagnose(t)[0]
 
 
 # -- deciders ----------------------------------------------------------------
 
 
+def _stages_until(t: TowerSpec, fails) -> bool:
+    """True iff no stage fails: each stage i is decided on the table of
+    the height-(i-1) prefix, in order, and the walk stops at the first
+    stage for which fails(k, chern) is true, so the tables past it (and
+    the last generator's map) are never built."""
+    table = ()
+    for i, s in enumerate(t.stages, start=1):
+        k, chern, classes = _first_violated_k(table, s.coeffs)
+        if fails(k, chern):
+            return False
+        if i < t.height:
+            table = extend_table(table, t.dims[: i - 1], classes)
+    return True
+
+
 def is_q_trivial(t: TowerSpec, ring: CohomRing | None = None) -> bool:
     """Rational triviality via the per-stage Chern identities."""
-    table = (ring or CohomRing(t)).mult_table()
-    return all(
-        _first_violated_k(table, s.coeffs)[0] is None for s in t.stages
-    )
+    return _stages_until(t, lambda k, chern: k is not None)
 
 
 def is_total_chern_trivial(t: TowerSpec, ring: CohomRing | None = None) -> bool:
     """True iff every c_k(xi_i), k >= 1, is zero in the ring."""
-    table = (ring or CohomRing(t)).mult_table()
-    return all(_first_violated_k(table, s.coeffs)[1] for s in t.stages)
+    return _stages_until(t, lambda k, chern: not chern)
 
 
 def generator_candidates(t: TowerSpec, ring: CohomRing | None = None) -> tuple[GeneratorCandidate, ...]:
     """The canonical degree-2 generators of a Q-trivial tower."""
-    if not is_q_trivial(t, ring):
+    if not is_q_trivial(t):
         raise PreconditionError("generator_candidates requires a Q-trivial tower")
     return tuple(_candidate(t, i) for i in range(1, t.height + 1))
 
 
 def is_z_trivial(t: TowerSpec, ring: CohomRing | None = None) -> bool:
     """Integral triviality: Q-trivial and every candidate scale r_i = 1."""
-    if not is_q_trivial(t, ring):
+    if not is_q_trivial(t):
         return False
     return all(
         _candidate(t, i).scale == 1 for i in range(1, t.height + 1)
@@ -326,14 +338,18 @@ def is_z_trivial(t: TowerSpec, ring: CohomRing | None = None) -> bool:
 
 def bott_q_trivial(t: TowerSpec, ring: CohomRing | None = None) -> bool:
     """For towers with every fiber a line (all n_i = 1): Q-triviality is
-    equivalent to c_1(xi_i)^2 = 0 for every stage."""
+    equivalent to c_1(xi_i)^2 = 0 for every stage, each decided on the
+    table of the prefix below it."""
     if any(n != 1 for n in t.dims):
         raise PreconditionError("bott_q_trivial requires all fiber dimensions 1")
-    table = (ring or CohomRing(t)).mult_table()
-    for s in t.stages:
+    table = ()
+    for i, s in enumerate(t.stages, start=1):
         (row,) = s.coeffs
-        if times_form(table, times_form(table, {0: 1}, row), row):
+        c1 = times_form(table, {0: 1}, row)
+        if times_form(table, c1, row):
             return False
+        if i < t.height:
+            table = extend_table(table, t.dims[: i - 1], [{0: 1}, c1])
     return True
 
 
@@ -349,8 +365,7 @@ def decompose(t: TowerSpec, ring: CohomRing | None = None) -> Decomposition:
     (or of the permutation's admissibility) would contradict what
     Q-triviality guarantees and raises InternalConsistencyError.
     """
-    ring = ring or CohomRing(t)
-    if not is_q_trivial(t, ring):
+    if not is_q_trivial(t):
         raise PreconditionError("decompose requires a Q-trivial tower")
     return _reorder(t)
 
@@ -394,7 +409,7 @@ def _reorder(t: TowerSpec) -> Decomposition:
 def full_report(t: TowerSpec) -> TrivialityReport:
     """One-pass aggregate: all flags, per-stage diagnostics, and the
     decomposition when the tower is Q-trivial."""
-    per_stage, chern = _diagnose(t, CohomRing(t))
+    per_stage, chern = _diagnose(t)
     q = all(d.passed for d in per_stage)
     z = q and all(d.candidate.scale == 1 for d in per_stage)
     dec = _reorder(t) if q else None

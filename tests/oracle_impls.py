@@ -1,8 +1,10 @@
 """Independent reference implementations used only to check gbott.
 
 Everything here recomputes results by a different route than the
-library: schoolbook term lists instead of dict kernels, lowest-index
-rewriting instead of highest-index, explicit monomial counting instead
+library: schoolbook term lists instead of dict kernels, normal forms
+and multiplication tables by lowest-index rewriting of the relations
+instead of tables built stage by stage, relation images by polynomial
+substitution instead of table maps, explicit monomial counting instead
 of generating-function convolution, the degree-2 line criterion
 instead of the per-k Chern identities, those identities decided
 through Polynomial products and normal forms instead of the library's
@@ -80,6 +82,74 @@ def nf_lowest_first(p: Polynomial, ring: CohomRing) -> Polynomial:
         rem[i] -= caps[i] + 1
         monom = Polynomial(h, {tuple(rem): c})
         cur = cur - Polynomial(h, {e: c}) + schoolbook_mul(monom, tails[i])
+
+
+def _relation(t: TowerSpec, i: int) -> Polynomial:
+    """r_i = x_i * prod_j (l_ij + x_i) as a Polynomial product."""
+    h = t.height
+    xi = Polynomial.variable(i, h)
+    rel = xi
+    for row in t.stages[i - 1].coeffs:
+        rel = rel * (Polynomial.linear(tuple(row) + (0,) * (h - len(row))) + xi)
+    return rel
+
+
+def mult_table_lowest_first(t: TowerSpec) -> tuple:
+    """table[i][b] as a dict (basis index -> coefficient): the normal form
+    of X_(i+1) * x^basis[b], basis sorted by (degree, exponents), each
+    monomial rewritten at its lowest over-cap generator first through
+    x_i^(n_i+1) -> x_i^(n_i+1) - r_i, memoised per monomial."""
+    h, caps = t.height, t.dims
+    tails = []
+    for i in range(1, h + 1):
+        lead = tuple(caps[i - 1] + 1 if k == i - 1 else 0 for k in range(h))
+        tails.append(dict((Polynomial(h, {lead: 1}) - _relation(t, i)).terms))
+    memo: dict = {}
+
+    def nf(e):
+        if e not in memo:
+            over = [i for i in range(h) if e[i] > caps[i]]
+            if not over:
+                memo[e] = {e: 1}
+            else:
+                i = over[0]
+                rem = e[:i] + (e[i] - caps[i] - 1,) + e[i + 1:]
+                out: dict = {}
+                for te, tc in tails[i].items():
+                    for f, c in nf(tuple(a + b for a, b in zip(rem, te))).items():
+                        out[f] = out.get(f, 0) + tc * c
+                memo[e] = {f: c for f, c in out.items() if c}
+        return memo[e]
+
+    basis = sorted(
+        itertools.product(*(range(n + 1) for n in caps)), key=lambda e: (sum(e), e)
+    )
+    index = {e: b for b, e in enumerate(basis)}
+    return tuple(
+        tuple(
+            {index[f]: c for f, c in nf(e[:i] + (e[i] + 1,) + e[i + 1:]).items()}
+            for e in basis
+        )
+        for i in range(h)
+    )
+
+
+def relation_residues_reference(M, src: CohomRing, tgt: CohomRing) -> list[Polynomial]:
+    """Images of the source relations under x_j -> column j of M, each
+    expanded as a Polynomial product of the images of its linear factors
+    and reduced by `nf_lowest_first` in the target."""
+    h = src.nvars
+    images = [Polynomial.linear(M.column(j)) for j in range(1, h + 1)]
+    out = []
+    for j, stage in enumerate(src.tower.stages):
+        image = images[j]
+        for row in stage.coeffs:
+            factor = images[j]
+            for m, a in enumerate(row):
+                factor = factor + images[m] * a
+            image = schoolbook_mul(image, factor)
+        out.append(nf_lowest_first(image, tgt))
+    return out
 
 
 def basis_rank_counts(t: TowerSpec) -> tuple[int, ...]:

@@ -268,3 +268,18 @@ def test_enumerate_stdout_is_pinned(capsys, filters):
     assert code == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED_STDOUT[filters]
+
+
+def test_classify_builds_no_ring(monkeypatch):
+    """Prefix tables are extended from the classes the decisions built,
+    with no CohomRing, also for the debug check of passing stages."""
+    from gbott import cohomology
+
+    towers = list(enumerate_towers(3, (1, 2), 1))
+    expected = [flags for _, flags in classify(towers)]
+
+    def refuse(self, tower):
+        raise AssertionError("CohomRing constructed")
+
+    monkeypatch.setattr(cohomology.CohomRing, "__init__", refuse)
+    assert [flags for _, flags in classify(towers)] == expected

@@ -17,7 +17,7 @@ from gbott import (
 from gbott.errors import DimensionMismatch
 
 from conftest import hirzebruch
-from oracle_impls import basis_rank_counts, nf_lowest_first
+from oracle_impls import basis_rank_counts, mult_table_lowest_first, nf_lowest_first
 from test_tower import towers
 
 
@@ -209,6 +209,8 @@ def test_normal_form_independent_of_rewrite_order(t, data):
 @given(towers(max_height=3, max_dim=3, bound=2))
 @settings(max_examples=40, deadline=None)
 def test_mult_table_is_multiplication_by_each_generator(t):
+    """Each entry is the normal form of X_i * x^b by lowest-index
+    rewriting, computed apart from the table that normal_form reads."""
     ring = CohomRing(t)
     basis = ring.basis_exponents()
     table = ring.mult_table()
@@ -218,8 +220,19 @@ def test_mult_table_is_multiplication_by_each_generator(t):
         assert len(rows) == len(basis)
         x_i = Polynomial.variable(i, t.height)
         for e, row in zip(basis, rows):
-            expected = ring.normal_form(x_i * Polynomial(t.height, {e: 1}))
+            expected = nf_lowest_first(x_i * Polynomial(t.height, {e: 1}), ring)
             assert {basis[b]: c for b, c in row} == dict(expected.terms)
+
+
+@given(towers(max_height=4, max_dim=3, bound=3))
+@settings(max_examples=60, deadline=None)
+def test_stage_built_table_matches_lowest_first_rewriting(t):
+    """The table built stage by stage equals, entry by entry and in
+    `basis_exponents()` order, the table of normal forms by rewriting."""
+    table = CohomRing(t).mult_table()
+    assert [[dict(row) for row in rows] for rows in table] == [
+        list(rows) for rows in mult_table_lowest_first(t)
+    ]
 
 
 def test_integral_input_gives_integral_normal_form():

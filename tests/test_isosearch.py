@@ -34,7 +34,12 @@ from gbott.errors import PreconditionError
 from gbott.isosearch import _det, _offsets, _rank, _relation_image
 
 from conftest import hirzebruch
-from oracle_impls import fraction_det, fraction_rank, search_iso_reference
+from oracle_impls import (
+    fraction_det,
+    fraction_rank,
+    relation_residues_reference,
+    search_iso_reference,
+)
 from test_cohomology import random_tower
 from test_tower import towers
 
@@ -91,7 +96,8 @@ def tower_pairs_with_map(draw):
 def test_table_relation_images_match_substitution(case):
     """The search's relation check, through the target's multiplication
     table, gives the same image of every relation as substituting into
-    it and reducing (the path check_hom takes)."""
+    it and rewriting (tests/oracle_impls.py); so do relation_residues
+    and check_hom, which take the table path too."""
     t_src, t_tgt, M = case
     src, tgt = CohomRing(t_src), CohomRing(t_tgt)
     h = t_src.height
@@ -102,8 +108,9 @@ def test_table_relation_images_match_substitution(case):
         offsets = _offsets(t_src.stages[j].coeffs, columns[:j], h)
         vec = _relation_image(tgt.mult_table(), columns[j], offsets)
         images.append({basis[b]: c for b, c in vec.items()})
-    residues = relation_residues(M, src, tgt)
-    assert images == [dict(r.terms) for r in residues]
+    expected = [dict(r.terms) for r in relation_residues_reference(M, src, tgt)]
+    assert images == expected
+    assert [dict(r.terms) for r in relation_residues(M, src, tgt)] == expected
     assert check_hom(M, src, tgt) == (not any(images))
 
 
@@ -279,8 +286,8 @@ class _RecordingMemo(isosearch._PassingColumns):
         self.peak = 0
         self.made.append(self)
 
-    def __call__(self, j, offsets):
-        columns = super().__call__(j, offsets)
+    def __call__(self, offsets):
+        columns = super().__call__(offsets)
         self.peak = max(self.peak, len(self.lists))
         return columns
 
@@ -295,9 +302,11 @@ def memos(monkeypatch):
 
 def test_relation_checked_once_per_key_and_column(monkeypatch, memos):
     """Each relation image is computed at most once per memo key and
-    column: a product source has one key per depth, so an exhaustive
-    search at bound b makes at most h * (2b+1)^h relation images (the
-    node-by-node search made 29 155 on this pair)."""
+    column.  A product source has all offsets zero, so its keys are the
+    distinct fiber dimensions (depths of equal dimension share a key):
+    2 here, and an exhaustive search at bound b makes at most
+    2 * (2b+1)^h relation images (the node-by-node search made 29 155
+    on this pair)."""
     calls = []
     relation_image = isosearch._relation_image
     monkeypatch.setattr(
@@ -310,7 +319,7 @@ def test_relation_checked_once_per_key_and_column(monkeypatch, memos):
     )))
     assert search_iso(src, tgt, over_integers=False, bound=3) is None
     (memo,) = memos
-    assert len(memo.lists) == 3
+    assert len(memo.lists) == 2
     assert len(calls) <= len(memo.lists) * 7 ** 3
 
 
@@ -425,3 +434,19 @@ def test_oracle_agreement_extends_to_height_three():
     ]
     for t in cases:
         assert z_trivial_oracle(t, bound=3) == is_z_trivial(t), t
+
+
+def test_oracle_builds_no_chern_classes(monkeypatch):
+    """The oracle's rings are only searched: neither builds its Chern
+    classes (nor its relations)."""
+    from gbott import cohomology
+
+    def refuse(*args):
+        raise AssertionError("chern_classes called")
+
+    monkeypatch.setattr(cohomology, "chern_classes", refuse)
+    monkeypatch.setattr(cohomology.CohomRing, "relations", property(refuse))
+    towers = list(enumerate_towers(2, (1, 2), 1))
+    assert [z_trivial_oracle(t, bound=2) for t in towers] == [
+        is_z_trivial(t) for t in towers
+    ]

@@ -61,3 +61,19 @@ def test_traced_iso_counts_search_layers(tmp_path):
         tmp_path, "z.json", "qtwin_a.tower", "--coeff", "z", "--bound", "1")
     assert proc.returncode == 0, proc.stderr
     assert total["calls"]["isosearch.det"] > 0
+
+
+def test_setup_probe_prints_the_kernel(tmp_path):
+    """The benchmark's set-up probe imports gbott, loads a workload's
+    inputs and prints `gbott.kernel_backend`."""
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    import workloads
+
+    manifest = tmp_path / "census.json"
+    manifest.write_text(json.dumps(workloads.build("census", 1)))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "child.py"), "setup", str(manifest)],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "py\n"

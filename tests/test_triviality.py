@@ -82,7 +82,7 @@ def test_table_decider_matches_normal_form_reference(t):
     ring = CohomRing(t)
     table = ring.mult_table()
     for i, stage in enumerate(t.stages, start=1):
-        k, chern = triviality._first_violated_k(table, stage.coeffs)
+        k, chern, _ = triviality._first_violated_k(table, stage.coeffs)
         assert k == chern_identity_violation(t, i)
         assert chern == all(ring.is_zero(c) for c in stage_chern_classes(t, i)[1:])
     rep = full_report(t)
@@ -361,3 +361,45 @@ def test_full_report_checks_each_stage_once(monkeypatch):
     assert rep.q_trivial
     assert calls == [1, 2, 3]
     assert rep.decomposition == decompose(t)
+
+
+def _record_extensions(monkeypatch) -> list[int]:
+    """The number of generator maps of each table the deciders extend to."""
+    from gbott import triviality
+
+    built = []
+    extend = triviality.extend_table
+
+    def recorded(*args):
+        table = extend(*args)
+        built.append(len(table))
+        return table
+
+    monkeypatch.setattr(triviality, "extend_table", recorded)
+    return built
+
+
+def test_is_q_trivial_never_builds_the_last_map(monkeypatch, qtwin_a):
+    """Stage i is decided on the height-(i-1) prefix's table, so a
+    height-h tower needs maps 1..h-1 only, and a failing stage ends the
+    walk before any table above it is built."""
+    built = _record_extensions(monkeypatch)
+    assert is_q_trivial(product_tower((1, 2, 1, 3)))
+    assert built == [1, 2, 3]
+    built.clear()
+    failing = TowerSpec(qtwin_a.stages + (StageSpec(1, ((0, 0),)),))
+    assert not is_q_trivial(failing)
+    assert built == [1]
+    built.clear()
+    assert is_total_chern_trivial(product_tower((2, 2)))
+    assert bott_q_trivial(hirzebruch(2))
+    assert built == [1, 1]
+
+
+def test_full_report_builds_the_last_map_only_for_the_debug_check(monkeypatch, qtwin_a):
+    built = _record_extensions(monkeypatch)
+    assert full_report(product_tower((1, 2, 1))).q_trivial
+    assert built == ([1, 2, 3] if __debug__ else [1, 2])
+    built.clear()
+    assert not full_report(qtwin_a).q_trivial
+    assert built == [1]
