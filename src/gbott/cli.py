@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import itertools
-import json
 import os
 import sys
 
@@ -86,6 +85,8 @@ def cmd_report(args) -> int:
     names = _names(t, args.names)
     report = full_report(t)
     if args.json:
+        import json  # here, so that no other command pays for loading it
+
         payload = report.to_dict()
         payload["dims"] = list(t.dims)
         payload["matrix"] = [list(r) for r in vector_matrix_transpose(t)]
@@ -250,12 +251,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("fileB")
     p.add_argument("--coeff", choices=("q", "z"), required=True)
     p.add_argument("--bound", type=int, default=10)
-    p.add_argument(
+    mode = p.add_mutually_exclusive_group()
+    mode.add_argument(
         "--sequential",
         action="store_true",
         help="search in this process; the witness is the same either way",
     )
-    p.add_argument("--workers", type=int, help="process count (default: cpu count, max 4)")
+    mode.add_argument(
+        "--workers",
+        type=int,
+        help="processes for a search that outlasts its in-process start "
+        "(default: cpu count, max 4)",
+    )
     p.set_defaults(func=cmd_iso)
 
     p = sub.add_parser("decompose", help="reorder a Q-trivial tower, lines first")

@@ -44,18 +44,22 @@ stays per node, since it depends on the earlier columns themselves.
 A search holds at most `_MEMO_KEYS` keys; a new key past that evicts
 the oldest one.
 
-The search is deterministic.  With workers > 1 the first-column order
-is cut into contiguous ranges, searched by a process pool and read back
-in range order; the first range that holds a witness gives the
-sequential search's witness.  Each worker keeps one memo for all the
-ranges it searches.
+The search is deterministic.  It runs in this process, first column by
+first column.  With workers > 1, a search still running after
+`_SEQUENTIAL_S` seconds hands over at its next first column k: the
+rest of the first-column order, k onwards, is cut into contiguous
+ranges, searched by a process pool and read back in range order.  A
+short search thus never pays for starting a pool.  The witness does not
+change: first columns 0..k-1 hold none, and the first range after them
+that holds a witness gives the sequential search's witness.  Each
+worker keeps one memo for all the ranges it searches.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import signal
+import time
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -270,16 +274,22 @@ class _PassingColumns:
             yield found[i]
             i += 1
 
-    def passes(self, col: tuple, offsets: list[tuple]) -> bool:
-        """Whether col passes the gcd filter and the relation."""
-        if self.over_integers and math.gcd(*col) != 1:
-            return False  # a unimodular matrix has only primitive columns
-        return not _relation_image(self.table, col, offsets)
-
     def _passing(self, offsets: list[tuple]):
+        """The columns that pass the gcd filter and the relation."""
         for col in itertools.product(self.values, repeat=self.h):
-            if self.passes(col, offsets):
+            if self.over_integers and math.gcd(*col) != 1:
+                continue  # a unimodular matrix has only primitive columns
+            if not _relation_image(self.table, col, offsets):
                 yield col
+
+
+def _position(col: tuple, bound: int) -> int:
+    """Index of col in the first-column order, the product order of
+    `_entry_values(bound)`."""
+    k = 0
+    for c in col:
+        k = k * (2 * bound + 1) + (2 * c - 1 if c > 0 else -2 * c)
+    return k
 
 
 def _search_columns(
@@ -287,16 +297,36 @@ def _search_columns(
     tgt: CohomRing,
     over_integers: bool,
     bound: int,
-    first_column: tuple | None = None,
-    passing: _PassingColumns | None = None,
+    passing: _PassingColumns,
+    start: int,
+    end: int,
+    stop,
 ):
-    """Depth-first search over columns; returns one witness or None.
-    `passing` is the search's memo, made here when not given."""
+    """Depth-first search over the matrices whose first column is one of
+    first columns start..end-1 of the first-column order, taken in that
+    order; `passing` is the search's memo.  Returns (witness, k): the
+    first witness, or None with k == end when the range holds none, or
+    None with k < end when `stop()` held before first column k, which is
+    left unsearched."""
     h = src.nvars
-    if passing is None:
-        passing = _PassingColumns(tgt, over_integers, bound)
     stages = src.tower.stages
     columns: list[tuple] = []
+    resume = end
+
+    def first_columns(candidates):
+        # depth 0 reads the memo like every other depth, and keeps the
+        # passing columns that lie in the range
+        nonlocal resume
+        for col in candidates:
+            k = _position(col, bound)
+            if k < start:
+                continue
+            if k >= end:
+                return
+            if stop():
+                resume = k
+                return
+            yield col
 
     def rec(j: int):
         if j == h:
@@ -307,12 +337,9 @@ def _search_columns(
             if over_integers and abs(M.det()) != 1:
                 return None
             return M
-        offsets = _offsets(stages[j].coeffs, columns, h)
-        if j == 0 and first_column is not None:
-            passes = passing.passes(first_column, offsets)
-            candidates = (first_column,) if passes else ()
-        else:
-            candidates = passing(offsets)
+        candidates = passing(_offsets(stages[j].coeffs, columns, h))
+        if j == 0:
+            candidates = first_columns(candidates)
         for col in candidates:
             columns.append(col)
             if _rank(columns) == j + 1:
@@ -322,7 +349,19 @@ def _search_columns(
             columns.pop()
         return None
 
-    return rec(0)
+    return rec(0), resume
+
+
+# seconds a search with workers > 1 runs in this process before it hands
+# its remaining first columns to a pool.  Starting a pool from the
+# command line costs about 0.06 s (importing multiprocessing, forking),
+# and its workers fill their memos afresh.  On a 2-CPU machine the
+# twisted height-3 pair of the interrupt test took 0.45 s sequentially
+# at bound 3, and no less with 2 workers; 1.5 s at bound 4 (x1.1-1.7
+# with 2 workers); 5 s at bound 5 (x2).  So a search that ends within
+# the budget gains nothing from a pool, and one that outlasts it loses
+# at most about half the budget to having started alone.
+_SEQUENTIAL_S = 0.5
 
 
 def search_iso(
@@ -334,7 +373,13 @@ def search_iso(
 ) -> Degree2Map | None:
     """Exhaustive search for a degree-2 isomorphism witness with integer
     entries in [-bound, bound]; returns the first one found, or None.
-    The answer does not depend on `workers`.
+
+    The search runs in this process.  With workers > 1, once it has run
+    for `_SEQUENTIAL_S` seconds it hands the first columns it has not
+    reached to a pool of that many processes, at the next first column.
+    The answer does not depend on `workers` or on the clock: the first
+    columns already searched hold no witness, and the pool returns the
+    first witness of the rest in first-column order.
 
     A returned map always satisfies is_iso.  None only certifies absence
     within the bound (unless the Poincare ranks already differ, which
@@ -343,9 +388,21 @@ def search_iso(
         raise ValueError("bound must be >= 1")
     if src.poincare_ranks() != tgt.poincare_ranks():
         return None
-    if workers > 1 and src.nvars > 1:
-        return _parallel_search(src, tgt, over_integers, bound, workers)
-    return _search_columns(src, tgt, over_integers, bound)
+    total = (2 * bound + 1) ** src.nvars
+    deadline = time.perf_counter() + _SEQUENTIAL_S if workers > 1 else math.inf
+    found, k = _search_columns(
+        src,
+        tgt,
+        over_integers,
+        bound,
+        _PassingColumns(tgt, over_integers, bound),
+        0,
+        total,
+        lambda: time.perf_counter() >= deadline,
+    )
+    if found is None and k < total:
+        return _parallel_search(src, tgt, over_integers, bound, workers, k)
+    return found
 
 
 # ranges of the first-column order per worker: enough that a range rich
@@ -356,6 +413,8 @@ _WORK = {}
 
 
 def _init_worker(src, tgt, over_integers, bound, stop):
+    import signal  # here, so that a search without a pool never loads it
+
     # Ctrl-C reaches the whole process group.  A worker killed by it
     # would lose its range and leave the pool waiting for it forever, so
     # workers ignore it and the parent stops them through `stop`.
@@ -370,27 +429,24 @@ def _run_chunk(chunk):
     """Search first columns start..end-1 of the first-column order, in
     order; the first witness, or None.  Gives up between first columns
     once the parent has its answer."""
-    src, tgt, over_integers, bound = _WORK["args"]
     start, end = chunk
-    order = itertools.product(_entry_values(bound), repeat=src.nvars)
-    for col in itertools.islice(order, start, end):
-        if _WORK["stop"].is_set():
-            return None
-        found = _search_columns(
-            src, tgt, over_integers, bound, first_column=col, passing=_WORK["passing"]
-        )
-        if found is not None:
-            return found
-    return None
+    found, _ = _search_columns(
+        *_WORK["args"], _WORK["passing"], start, end, _WORK["stop"].is_set
+    )
+    return found
 
 
-def _parallel_search(src, tgt, over_integers, bound, workers):
-    import multiprocessing  # here, so that a sequential run never loads it
+def _parallel_search(src, tgt, over_integers, bound, workers, start):
+    """Search first columns start.. of the first-column order with a
+    pool of `workers` processes; the first witness in that order, or
+    None."""
+    import multiprocessing  # here, so that a search without a pool never loads it
 
     total = (2 * bound + 1) ** src.nvars
-    size = -(-total // (workers * _RANGES_PER_WORKER))
-    ranges = ((s, min(s + size, total)) for s in range(0, total, size))
-    tgt.block_table()  # built once here; the forked workers inherit it
+    size = -(-(total - start) // (workers * _RANGES_PER_WORKER))
+    ranges = ((s, min(s + size, total)) for s in range(start, total, size))
+    # the forked workers inherit tgt's table, which the in-process part
+    # of the search has built
     ctx = multiprocessing.get_context("fork")
     stop = ctx.Event()
     pool = ctx.Pool(

@@ -2,7 +2,7 @@ import pathlib
 
 import pytest
 
-from gbott import StageSpec, TowerSpec, product_tower
+from gbott import StageSpec, TowerSpec, isosearch, product_tower
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -33,3 +33,10 @@ def cp2_x_cp3() -> TowerSpec:
 @pytest.fixture
 def data_dir() -> pathlib.Path:
     return DATA
+
+
+@pytest.fixture
+def pool_from_start(monkeypatch):
+    """A search with workers > 1 hands over to its pool at once, so that
+    even a short search runs in the pool."""
+    monkeypatch.setattr(isosearch, "_SEQUENTIAL_S", 0)

@@ -186,6 +186,6 @@ def test_relation_residues_rejects_size_mismatch():
 
 # -- parallel oracle ----------------------------------------------------------------
 
-def test_oracle_parallel_path():
+def test_oracle_parallel_path(pool_from_start):
     assert z_trivial_oracle(hirzebruch(4), bound=4, workers=2)
     assert not z_trivial_oracle(hirzebruch(3), bound=4, workers=2)

@@ -6,6 +6,8 @@ import pathlib
 import subprocess
 import sys
 
+import pytest
+
 import gbott
 from gbott.cli import main
 
@@ -170,6 +172,18 @@ def test_iso_bound_below_one_exits_2(capsys, data_dir):
     code, _, err = run(capsys, "iso", p, p, "--coeff", "q", "--workers", "0")
     assert code == 2
     assert "--workers must be >= 1, got 0" in err
+
+
+def test_iso_sequential_excludes_workers(capsys, data_dir):
+    """--workers K would be ignored under --sequential, so the two
+    together are refused."""
+    p = path(data_dir, "qtwin_a.tower")
+    with pytest.raises(SystemExit) as exc:
+        main(["iso", p, p, "--coeff", "q", "--sequential", "--workers", "2"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--workers" in captured.err and "--sequential" in captured.err
 
 
 def test_iso_parse_error_exits_2(capsys, data_dir):

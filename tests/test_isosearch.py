@@ -1,5 +1,7 @@
 """Homomorphism checking and bounded isomorphism search."""
 
+import itertools
+import math
 import os
 import random
 import signal
@@ -24,6 +26,7 @@ from gbott import (
     enumerate_towers,
     is_iso,
     is_z_trivial,
+    load_tower,
     product_tower,
     relation_residues,
     search_iso,
@@ -33,7 +36,7 @@ from gbott import isosearch
 from gbott.errors import PreconditionError
 from gbott.isosearch import _det, _offsets, _rank, _relation_image
 
-from conftest import hirzebruch
+from conftest import DATA, hirzebruch
 from oracle_impls import (
     fraction_det,
     fraction_rank,
@@ -232,7 +235,7 @@ def test_search_rejects_bad_bound(qtwin_a):
         search_iso(ring, ring, over_integers=False, bound=0)
 
 
-def test_parallel_search_agrees_with_sequential(qtwin_a, qtwin_b):
+def test_parallel_search_agrees_with_sequential(pool_from_start, qtwin_a, qtwin_b):
     src, tgt = rings(qtwin_a, qtwin_b)
     for bound in (2, 4):
         seq = search_iso(src, tgt, over_integers=False, bound=bound, workers=1)
@@ -266,14 +269,113 @@ def search_pairs(draw, height):
 @settings(max_examples=8, deadline=None)
 def test_search_returns_reference_witness(over_integers, height, data):
     """The memoised search, sequential and through the pool, returns the
-    witness of the node-by-node reference search at every bound."""
+    witness of the node-by-node reference search at every bound.  The
+    pool takes over from the first column on; the budget is patched
+    here, since hypothesis refuses the pool_from_start fixture in a
+    @given test."""
     t_src, t_tgt = data.draw(search_pairs(height))
     src, tgt = CohomRing(t_src), CohomRing(t_tgt)
-    for bound in (1, 2, 3):
-        expected = search_iso_reference(src, tgt, over_integers, bound)
-        for workers in (1, 2):
-            found = search_iso(src, tgt, over_integers, bound, workers=workers)
-            assert (found and found.matrix) == expected, (bound, workers)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(isosearch, "_SEQUENTIAL_S", 0)
+        for bound in (1, 2, 3):
+            expected = search_iso_reference(src, tgt, over_integers, bound)
+            for workers in (1, 2):
+                found = search_iso(src, tgt, over_integers, bound, workers=workers)
+                assert (found and found.matrix) == expected, (bound, workers)
+
+
+def test_positions_follow_first_column_order():
+    for bound, h in ((1, 1), (2, 2), (3, 3)):
+        order = itertools.product(isosearch._entry_values(bound), repeat=h)
+        assert [isosearch._position(col, bound) for col in order] == list(
+            range((2 * bound + 1) ** h)
+        )
+
+
+class _FakeClock:
+    """Stands in for the time module: the clock stands still for the
+    reading at the start of a search and the checks before its first k
+    first columns, then jumps past any budget."""
+
+    def __init__(self, k: int):
+        self.readings = k + 1
+
+    def perf_counter(self) -> float:
+        self.readings -= 1
+        return 0.0 if self.readings >= 0 else math.inf
+
+
+QTWIN = (load_tower(DATA / "qtwin_a.tower"), load_tower(DATA / "qtwin_b.tower"))
+LINES = product_tower((1, 1))
+HAND_OVER_CASES = [
+    # (source, target, over_integers, bound)
+    pytest.param(*QTWIN, False, 2, id="qtwin-q-witness"),
+    pytest.param(*QTWIN, True, 3, id="qtwin-z-exhaust"),
+    pytest.param(LINES, hirzebruch(4), True, 5, id="hirzebruch4-z-witness"),
+    pytest.param(LINES, hirzebruch(-4), True, 2, id="hirzebruch-4-z-witness"),
+    pytest.param(hirzebruch(3), LINES, False, 3, id="hirzebruch3-q-witness"),
+    pytest.param(hirzebruch(3), LINES, True, 5, id="hirzebruch3-z-exhaust"),
+]
+
+
+@pytest.mark.parametrize("source, target, over_integers, bound", HAND_OVER_CASES)
+def test_hand_over_after_any_first_column_keeps_witness(
+    monkeypatch, source, target, over_integers, bound
+):
+    """Handing the search to the pool after its first k first columns,
+    for every k up to the last one the search reaches, gives the
+    sequential search's answer."""
+    src, tgt = CohomRing(source), CohomRing(target)
+    expected = search_iso(src, tgt, over_integers, bound)
+    starts = []
+    parallel = isosearch._parallel_search
+    monkeypatch.setattr(
+        isosearch, "_parallel_search",
+        lambda *args: starts.append(args[-1]) or parallel(*args),
+    )
+    k = 0
+    while True:
+        monkeypatch.setattr(isosearch, "time", _FakeClock(k))
+        found = search_iso(src, tgt, over_integers, bound, workers=2)
+        assert (found and found.matrix) == (expected and expected.matrix), k
+        if len(starts) == k:
+            break  # the search ended within its first k first columns
+        k += 1
+    assert k > 0
+    # a later hand-over starts further along the first-column order
+    assert starts == sorted(set(starts))
+
+
+# the benchmark's iso-exhaust shapes: (dims, twist rows of stages 2..h,
+# product is the source, coefficients, bound)
+EXHAUST_PAIRS = [
+    ((1, 1, 1), [[(2,)], [(-2, 1)]], False, "q", 2),
+    ((1, 1, 1), [[(-2,)], [(-1, 1)]], True, "z", 3),
+    ((1, 1, 2), [[(0,)], [(-1, 1), (-1, -2)]], True, "q", 3),
+    ((1, 1, 2), [[(-1,)], [(-1, 0), (0, -1)]], False, "z", 3),
+    ((1, 2, 1), [[(2,), (-1,)], [(-1, -1)]], True, "q", 3),
+    ((2, 1, 1), [[(2,)], [(-2, 2)]], False, "q", 2),
+    ((1, 2), [[(0,), (-1,)]], True, "z", 6),
+    ((2, 2), [[(-1,), (2,)]], False, "q", 6),
+]
+
+
+def test_short_search_starts_no_pool(monkeypatch):
+    """A search that ends within the budget runs in this process alone,
+    whatever `workers` says."""
+
+    def refuse(*args):
+        raise AssertionError("a pool was started")
+
+    monkeypatch.setattr(isosearch, "_parallel_search", refuse)
+    for dims, rows, product_is_source, coeff, bound in EXHAUST_PAIRS:
+        t = TowerSpec((StageSpec(dims[0]),) + tuple(
+            StageSpec(n, tuple(r)) for n, r in zip(dims[1:], rows)
+        ))
+        src, tgt = CohomRing(product_tower(dims)), CohomRing(t)
+        if not product_is_source:
+            src, tgt = tgt, src
+        assert search_iso(src, tgt, coeff == "z", bound, workers=2) is None
 
 
 class _RecordingMemo(isosearch._PassingColumns):
@@ -323,7 +425,7 @@ def test_relation_checked_once_per_key_and_column(monkeypatch, memos):
     assert len(calls) <= len(memo.lists) * 7 ** 3
 
 
-def test_memo_cap_keeps_witnesses(monkeypatch, memos, qtwin_a, qtwin_b):
+def test_memo_cap_keeps_witnesses(monkeypatch, memos, pool_from_start, qtwin_a, qtwin_b):
     """With room for one key only, the memo evicts on every new key and
     the witnesses stay the same."""
     monkeypatch.setattr(isosearch, "_MEMO_KEYS", 1)
@@ -373,8 +475,9 @@ def test_parallel_search_terminates_when_repeated():
     neither hang nor change its witness."""
     code, out, err = _run_child(
         """
-        from gbott import CohomRing, StageSpec, TowerSpec, search_iso
+        from gbott import CohomRing, StageSpec, TowerSpec, isosearch, search_iso
 
+        isosearch._SEQUENTIAL_S = 0  # every search below runs in the pool
         a = TowerSpec((StageSpec(2), StageSpec(3, ((0,), (0,), (1,)))))
         b = TowerSpec((StageSpec(2), StageSpec(3, ((0,), (0,), (2,)))))
         seq = search_iso(CohomRing(a), CohomRing(b), over_integers=False, bound=4)
@@ -407,6 +510,8 @@ def test_interrupted_parallel_search_exits():
     )
     assert code != 0
     assert "KeyboardInterrupt" in err
+    # the search had outlasted its budget and was running in the pool
+    assert "_parallel_search" in err
 
 
 # -- oracle ---------------------------------------------------------------------
