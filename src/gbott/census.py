@@ -21,18 +21,16 @@ the stages that changed.
 
 `classify` gives each tower of a stream the flags of
 `triviality.full_report`.  Stage i is decided in the cohomology of the
-height-(i-1) prefix tower (see gbott.triviality), so the classifier
-keeps one state per level: the last prefix it saw, its ring's
-multiplication table (in block order, see gbott.cohomology) and its
-flags so far.  A prefix's table is the one below it extended by the
-stage's Chern classes, which the stage's decision has just built; no
-`CohomRing` is made.  A tower that shares a prefix with the tower
-before it pays only for the stages after that prefix; in the row-major
-order above that is usually its last stage alone, decided on the shared
-table.  A tower whose prefix already fails is not Q-trivial, Z-trivial
-or Chern-trivial, with no further work.  The state is compared stage by
-stage with each tower, so the flags do not depend on the order of the
-stream, and memory stays O(height).
+height-(i-1) prefix tower, by the prefix walk of gbott.triviality, so
+the classifier keeps the walk's state for one prefix per level: the
+last prefix of that height it saw, with its ring's multiplication table
+and its flags so far; no `CohomRing` is made.  A tower that shares a
+prefix with the tower before it pays only for the stages after that
+prefix; in the row-major order above that is usually its last stage
+alone, decided on the shared table.  A tower whose prefix already fails
+is not Q-trivial, Z-trivial or Chern-trivial, with no further work.
+The prefixes are compared stage by stage with each tower, so the flags
+do not depend on the order of the stream, and memory stays O(height).
 """
 
 from __future__ import annotations
@@ -41,15 +39,9 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .cohomology import extend_table
 from .errors import GbottError
 from .tower import StageSpec, TowerSpec
-from .triviality import (
-    _assert_candidate_vanishes,
-    _check_flags,
-    _decide_stage,
-    _reorder,
-)
+from .triviality import _EMPTY, _walk
 
 FILTER_KEYS = ("q", "z", "chern")
 
@@ -134,71 +126,19 @@ def expected_count(height: int, dims: tuple[int, ...], coeff_bound: int) -> int:
     return total
 
 
-@dataclass(frozen=True)
-class _Prefix:
-    """One level of `classify`'s state: the prefix ending in `stage`,
-    and its flags so far (Q-trivial so far iff `table` is not None)."""
-
-    stage: StageSpec | None
-    table: tuple | None  # the prefix ring's table, block order; None once a stage fails
-    z: bool
-    chern: bool
-
-
-# the height-0 prefix; stage 1's rows are empty, so its decision reads no map
-_EMPTY = _Prefix(stage=None, table=(), z=True, chern=True)
-
-
-def _extend(prev: _Prefix, stages: tuple[StageSpec, ...]) -> _Prefix:
-    """The state of the prefix `stages`, from that of stages[:-1]: the
-    last stage is decided on the table before it, and a passing stage
-    extends that table by the classes the decision built."""
-    if prev.table is None:
-        return _Prefix(stages[-1], None, False, False)
-    prefix = TowerSpec(stages)
-    d, chern, classes = _decide_stage(prefix, len(stages), prev.table)
-    if not d.passed:
-        return _Prefix(stages[-1], None, False, False)
-    table = extend_table(prev.table, prefix.dims[:-1], classes)
-    if __debug__:
-        _assert_candidate_vanishes(table, d)
-    return _Prefix(
-        stages[-1],
-        table,
-        prev.z and d.candidate.scale == 1,
-        prev.chern and chern,
-    )
-
-
-def _last_stage(t: TowerSpec, prev: _Prefix) -> tuple[bool, bool, bool]:
-    """(q, z, chern) of t, given the state of its height-(h-1) prefix."""
-    if prev.table is None:
-        return False, False, False
-    d, chern, classes = _decide_stage(t, t.height, prev.table)
-    if not d.passed:
-        return False, False, False
-    if __debug__:
-        _assert_candidate_vanishes(extend_table(prev.table, t.dims[:-1], classes), d)
-    _reorder(t)  # raises if the Q-trivial tower resists the decomposition
-    return True, prev.z and d.candidate.scale == 1, prev.chern and chern
-
-
 def classify(
     towers: Iterable[TowerSpec],
 ) -> Iterator[tuple[TowerSpec, tuple[bool, bool, bool]]]:
     """Yield (tower, (q_trivial, z_trivial, total_chern_trivial)) for
     each tower, with the flags `full_report` gives it, deciding each
     stage once per run of towers that share the prefix up to it."""
-    levels = [_EMPTY]  # levels[j]: the last prefix of height j seen
+    levels = [_EMPTY]  # levels[j]: the state of the last prefix of height j seen
+    seen: tuple[StageSpec, ...] = ()  # the stages of those prefixes
     for t in towers:
         stages = t.stages
-        h = len(stages)
         keep = 1
-        while keep < min(len(levels), h) and levels[keep].stage == stages[keep - 1]:
+        while keep < min(len(levels), len(stages)) and seen[keep - 1] == stages[keep - 1]:
             keep += 1
         del levels[keep:]
-        while len(levels) < h:
-            levels.append(_extend(levels[-1], stages[: len(levels)]))
-        flags = _last_stage(t, levels[h - 1])
-        _check_flags(*flags)
-        yield t, flags
+        seen = stages
+        yield t, _walk(t, levels)

@@ -28,15 +28,24 @@ application of the map for c_1 per k.  The candidate and its scale come
 in closed form from the column sums of the rows.  Stage i's classes
 involve only x_1..x_(i-1), and the quotient by the first i-1 relations
 embeds in the whole ring, so stage i holds or fails already in the
-cohomology R_(i-1) of the height-(i-1) prefix tower.  The deciders
-therefore walk the stages in order, deciding stage i on R_(i-1)'s table
-and extending that table by the stage's own classes
-(`cohomology.extend_table`) only when stage i+1 needs it: the last
-generator's map is never built, and `is_q_trivial` stops at the first
-failing stage.  Their `ring` argument is accepted for compatibility and
-not read.  gbott.census shares each prefix's table among the many
-towers above it.  The normal-form computation of the same identities is
-kept in the tests as the independent reference.
+cohomology R_(i-1) of the height-(i-1) prefix tower.
+
+The deciders and `gbott.census` walk a tower's prefixes in order
+(`_walk`), one step per stage (`_step`).  A prefix's state is its flags
+so far (Q-, Z-, Chern-trivial) and its ring's table; the step decides
+stage i on the state of the height-(i-1) prefix and extends that table
+by the stage's own classes (`cohomology.extend_table`) only when a later
+stage will read it.  So the last generator's map is never built, and
+`is_q_trivial`, `is_z_trivial` and `is_total_chern_trivial` each stop at
+the first stage that settles their answer, building no table above it;
+`gbott.census` keeps each prefix's state for the many towers above it.
+`full_report` decides every stage, also above a failing one, since it
+reports each stage's diagnostic.  Under `__debug__` every table built
+for a passing stage is used to check that the stage's candidate has
+vanishing (n_i+1)-st power, and the walks that give all flags build the
+last map for that check too.  The deciders' `ring` argument is accepted
+for compatibility and not read.  The normal-form computation of the
+same identities is kept in the tests as the independent reference.
 
 Every Q-trivial tower can be reordered, by conjugating with an
 admissible permutation, so that all n_i = 1 stages come first and no
@@ -256,21 +265,26 @@ def _decide_stage(
     return d, chern, classes
 
 
-def _assert_candidate_vanishes(table, d: StageDiagnostic) -> None:
-    """Debug check: a passing stage's candidate has vanishing (n+1)-st
-    power in the ring whose table is `table` and whose first generators
-    are x_1..x_stage; n+1 applications of the candidate's form."""
-    form = d.candidate.vector.coeffs[: d.stage]
-    power = {0: 1}
-    for _ in range(d.fiber_dim + 1):
-        power = times_form(table, power, form)
-    assert not power, "candidate power fails to vanish"
+def _extend(table, t: TowerSpec, d: StageDiagnostic, classes) -> tuple:
+    """The table of t's prefix up to stage d.stage, from the table below
+    it and the stage's classes.  Under __debug__ a passing stage's
+    candidate is checked on it: n+1 applications of the candidate's form
+    take 1 to 0."""
+    table = extend_table(table, t.dims[: d.stage - 1], classes)
+    if __debug__ and d.passed:
+        form = d.candidate.vector.coeffs[: d.stage]
+        power = {0: 1}
+        for _ in range(d.fiber_dim + 1):
+            power = times_form(table, power, form)
+        assert not power, "candidate power fails to vanish"
+    return table
 
 
 def _diagnose(t: TowerSpec) -> tuple[tuple[StageDiagnostic, ...], bool]:
     """Every stage decided once, stage i on the table of the height-(i-1)
-    prefix: the diagnostics, and whether every Chern class vanishes.
-    The last generator's map is built only for the debug check."""
+    prefix, failing stages included: the diagnostics, and whether every
+    Chern class vanishes.  The last generator's map is built only for the
+    debug check."""
     out = []
     chern = True
     table = ()
@@ -278,11 +292,8 @@ def _diagnose(t: TowerSpec) -> tuple[tuple[StageDiagnostic, ...], bool]:
         d, stage_chern, classes = _decide_stage(t, i, table)
         out.append(d)
         chern = chern and stage_chern
-        check = __debug__ and d.passed
-        if i < t.height or check:
-            table = extend_table(table, t.dims[: i - 1], classes)
-        if check:
-            _assert_candidate_vanishes(table, d)
+        if i < t.height or __debug__ and d.passed:
+            table = _extend(table, t, d, classes)
     return tuple(out), chern
 
 
@@ -292,32 +303,67 @@ def stage_diagnostics(t: TowerSpec, ring: CohomRing | None = None) -> tuple[Stag
     return _diagnose(t)[0]
 
 
+# -- prefix walk -------------------------------------------------------------
+
+# A prefix's state is ((q, z, chern), table): its flags so far, and its
+# ring's table, or None where nothing will read it.
+_Q, _Z, _CHERN = range(3)
+_EMPTY = ((True, True, True), ())  # height 0: stage 1 has no rows, so reads no map
+_FAILED = ((False, False, False), None)
+
+
+def _step(t: TowerSpec, i: int, state, need: int | None):
+    """The state of t's prefix of height i, from `state`, that of the
+    prefix below it.  Stage i is decided on state's table, which is
+    extended by the stage only when it will be read: when a stage follows
+    and flag `need` still holds, or, with `need` None, under __debug__
+    for the last stage's candidate check."""
+    (q, z, chern), table = state
+    if not q:
+        return _FAILED
+    d, stage_chern, classes = _decide_stage(t, i, table)
+    if not d.passed:
+        return _FAILED
+    flags = (True, z and d.candidate.scale == 1, chern and stage_chern)
+    if need is None:
+        read = i < t.height or __debug__
+    else:
+        read = i < t.height and flags[need]
+    return flags, _extend(table, t, d, classes) if read else None
+
+
+def _walk(t: TowerSpec, levels: list, need: int | None = None) -> tuple[bool, bool, bool]:
+    """The flags (q, z, chern) of t, each stage decided once, stage i on
+    the table of the height-(i-1) prefix.  levels[j] is the state of t's
+    prefix of height j for each j < len(levels), levels[0] being _EMPTY;
+    the walk appends the states up to height h-1.  With `need` it stops
+    at the first stage that makes that flag false; without, it gives all
+    three flags, checked as `full_report` checks them."""
+    h = t.height
+    while len(levels) < h:
+        state = _step(t, len(levels), levels[-1], need)
+        if need is not None and not state[0][need]:
+            return state[0]
+        levels.append(state)
+    flags = _step(t, h, levels[h - 1], need)[0] if h else _EMPTY[0]
+    if need is None:
+        _check_flags(*flags)
+        if flags[_Q]:
+            _reorder(t)  # raises if the Q-trivial tower resists the decomposition
+    return flags
+
+
 # -- deciders ----------------------------------------------------------------
-
-
-def _stages_until(t: TowerSpec, fails) -> bool:
-    """True iff no stage fails: each stage i is decided on the table of
-    the height-(i-1) prefix, in order, and the walk stops at the first
-    stage for which fails(k, chern) is true, so the tables past it (and
-    the last generator's map) are never built."""
-    table = ()
-    for i, s in enumerate(t.stages, start=1):
-        k, chern, classes = _first_violated_k(table, s.coeffs)
-        if fails(k, chern):
-            return False
-        if i < t.height:
-            table = extend_table(table, t.dims[: i - 1], classes)
-    return True
 
 
 def is_q_trivial(t: TowerSpec, ring: CohomRing | None = None) -> bool:
     """Rational triviality via the per-stage Chern identities."""
-    return _stages_until(t, lambda k, chern: k is not None)
+    return _walk(t, [_EMPTY], _Q)[_Q]
 
 
 def is_total_chern_trivial(t: TowerSpec, ring: CohomRing | None = None) -> bool:
     """True iff every c_k(xi_i), k >= 1, is zero in the ring."""
-    return _stages_until(t, lambda k, chern: not chern)
+    return _walk(t, [_EMPTY], _CHERN)[_CHERN]
 
 
 def generator_candidates(t: TowerSpec, ring: CohomRing | None = None) -> tuple[GeneratorCandidate, ...]:
@@ -329,28 +375,16 @@ def generator_candidates(t: TowerSpec, ring: CohomRing | None = None) -> tuple[G
 
 def is_z_trivial(t: TowerSpec, ring: CohomRing | None = None) -> bool:
     """Integral triviality: Q-trivial and every candidate scale r_i = 1."""
-    if not is_q_trivial(t):
-        return False
-    return all(
-        _candidate(t, i).scale == 1 for i in range(1, t.height + 1)
-    )
+    return _walk(t, [_EMPTY], _Z)[_Z]
 
 
 def bott_q_trivial(t: TowerSpec, ring: CohomRing | None = None) -> bool:
     """For towers with every fiber a line (all n_i = 1): Q-triviality is
-    equivalent to c_1(xi_i)^2 = 0 for every stage, each decided on the
-    table of the prefix below it."""
+    equivalent to c_1(xi_i)^2 = 0 for every stage, the only identity
+    `is_q_trivial` has to check on a stage with n = 1."""
     if any(n != 1 for n in t.dims):
         raise PreconditionError("bott_q_trivial requires all fiber dimensions 1")
-    table = ()
-    for i, s in enumerate(t.stages, start=1):
-        (row,) = s.coeffs
-        c1 = times_form(table, {0: 1}, row)
-        if times_form(table, c1, row):
-            return False
-        if i < t.height:
-            table = extend_table(table, t.dims[: i - 1], [{0: 1}, c1])
-    return True
+    return is_q_trivial(t)
 
 
 # -- decomposition -----------------------------------------------------------

@@ -182,6 +182,16 @@ def test_classify_mixed_heights_in_any_order():
     assert [f for _, f in classify(towers)] == [_report_flags(t) for t in towers]
 
 
+def test_classify_height_zero_tower():
+    """The height-0 tower has the empty prefix's flags, all true, as
+    full_report gives them, also in a stream of taller towers."""
+    (empty,) = enumerate_towers(0, (1,), 1)
+    assert _report_flags(empty) == (True, True, True)
+    towers = list(enumerate_towers(2, (1, 2), 1))[-40:]
+    towers[20:20] = [empty]
+    assert [f for _, f in classify(towers)] == [_report_flags(t) for t in towers]
+
+
 def test_classify_decides_each_prefix_once(monkeypatch):
     """One decision per run of equal prefixes at each level, and one
     last-stage decision per tower whose prefix passes."""

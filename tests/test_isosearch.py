@@ -498,11 +498,18 @@ def test_interrupted_parallel_search_exits():
     """Ctrl-C in the middle of a long pool search ends the process."""
     code, _, err = _run_child(
         """
-        from gbott import CohomRing, StageSpec, TowerSpec, product_tower, search_iso
+        from gbott import CohomRing, StageSpec, TowerSpec, isosearch, product_tower, search_iso
 
+        original = isosearch._parallel_search
+
+        def announced(*args):
+            # the interrupt is timed from the hand-over to the pool
+            print("started", flush=True)
+            return original(*args)
+
+        isosearch._parallel_search = announced
         t = TowerSpec((StageSpec(1), StageSpec(1, ((2,),)), StageSpec(1, ((-2, 1),))))
         src, tgt = CohomRing(t), CohomRing(product_tower((1, 1, 1)))
-        print("started", flush=True)
         search_iso(src, tgt, over_integers=False, bound=8, workers=2)
         """,
         timeout=60,

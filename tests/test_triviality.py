@@ -1,11 +1,17 @@
 """Q/Z-triviality deciders, generator candidates, decomposition."""
 
 import itertools
+import os
 import random
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import gbott
 from gbott import (
     CohomRing,
     Polynomial,
@@ -22,6 +28,7 @@ from gbott import (
     permute,
     product_tower,
 )
+from gbott.census import classify
 from gbott.errors import PreconditionError
 
 from conftest import hirzebruch
@@ -92,6 +99,17 @@ def test_table_decider_matches_normal_form_reference(t):
         sum(col) % (s.fiber_dim + 1) == 0 for s in t.stages for col in zip(*s.coeffs)
     )
     assert rep.z_trivial == (rep.q_trivial and divisible)
+
+
+@given(st.one_of(sparse_towers(), sparse_towers(max_dim=1)))
+@settings(max_examples=80, deadline=None)
+def test_every_entry_point_agrees_with_full_report(t):
+    rep = full_report(t)
+    flags = (rep.q_trivial, rep.z_trivial, rep.total_chern_trivial)
+    assert (is_q_trivial(t), is_z_trivial(t), is_total_chern_trivial(t)) == flags
+    assert list(classify([t])) == [(t, flags)]
+    if all(n == 1 for n in t.dims):
+        assert bott_q_trivial(t) == rep.q_trivial
 
 
 # -- total Chern triviality -------------------------------------------------------
@@ -394,6 +412,10 @@ def test_is_q_trivial_never_builds_the_last_map(monkeypatch, qtwin_a):
     assert is_total_chern_trivial(product_tower((2, 2)))
     assert bott_q_trivial(hirzebruch(2))
     assert built == [1, 1]
+    built.clear()
+    chern_fails = TowerSpec(hirzebruch(2).stages + (StageSpec(1, ((0, 0),)),))
+    assert not is_total_chern_trivial(chern_fails)
+    assert built == [1]
 
 
 def test_full_report_builds_the_last_map_only_for_the_debug_check(monkeypatch, qtwin_a):
@@ -403,3 +425,41 @@ def test_full_report_builds_the_last_map_only_for_the_debug_check(monkeypatch, q
     built.clear()
     assert not full_report(qtwin_a).q_trivial
     assert built == [1]
+
+
+def test_full_report_under_optimization():
+    """Under -O no debug check builds the last map, and the classifier
+    still gives every tower the flags of full_report."""
+    script = """
+        import sys
+        from gbott import full_report, product_tower, triviality
+        from gbott.census import classify, enumerate_towers
+
+        if __debug__:
+            sys.exit("not running under -O")
+        for t, flags in classify(enumerate_towers(3, (1, 2), 1)):
+            rep = full_report(t)
+            if flags != (rep.q_trivial, rep.z_trivial, rep.total_chern_trivial):
+                sys.exit(f"classify gives {flags} for {t}")
+        built = []
+        extend = triviality.extend_table
+
+        def recorded(*args):
+            table = extend(*args)
+            built.append(len(table))
+            return table
+
+        triviality.extend_table = recorded
+        full_report(product_tower((1, 2, 1)))
+        if built != [1, 2]:
+            sys.exit(f"full_report built tables {built}")
+    """
+    src_dir = str(Path(gbott.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", textwrap.dedent(script)],
+        env={**os.environ, "PYTHONPATH": src_dir},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
