@@ -11,94 +11,76 @@ bounded enumeration.
 
 All arithmetic is exact (arbitrary-precision integers and rationals),
 in pure Python.
-"""
 
-from .backend import KERNEL_NAME as kernel_backend
-from .cohomology import ChernData, CohomRing, build_ring, chern_classes, poincare_ranks
-from .census import EnumerationConfig, enumerate_towers, expected_count
-from .isosearch import (
-    Degree2Map,
-    check_hom,
-    is_iso,
-    relation_residues,
-    search_iso,
-    z_trivial_oracle,
-)
-from .poly import Polynomial, default_names, parse_polynomial
-from .tower import (
-    Permutation,
-    StageSpec,
-    TowerSpec,
-    load_tower,
-    matrix_line,
-    parse_tower,
-    permute,
-    product_tower,
-    reduced_characteristic_matrix,
-    save_tower,
-    serialize_tower,
-    vector_matrix_transpose,
-)
-from .triviality import (
-    Decomposition,
-    Degree2Class,
-    GeneratorCandidate,
-    StageDiagnostic,
-    TrivialityReport,
-    bott_q_trivial,
-    decompose,
-    full_report,
-    generator_candidates,
-    is_q_trivial,
-    is_total_chern_trivial,
-    is_z_trivial,
-    stage_diagnostics,
-)
+`import gbott` loads no submodule.  Each public name is imported from
+its home module on first access (`_HOME` below) and kept in the
+package namespace from then on, so a program, or a `gbott` command,
+loads only the modules it uses.
+"""
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ChernData",
-    "CohomRing",
-    "Decomposition",
-    "Degree2Class",
-    "Degree2Map",
-    "EnumerationConfig",
-    "GeneratorCandidate",
-    "Permutation",
-    "Polynomial",
-    "StageDiagnostic",
-    "StageSpec",
-    "TowerSpec",
-    "TrivialityReport",
-    "bott_q_trivial",
-    "build_ring",
-    "check_hom",
-    "chern_classes",
-    "decompose",
-    "default_names",
-    "enumerate_towers",
-    "expected_count",
-    "full_report",
-    "generator_candidates",
-    "is_iso",
-    "is_q_trivial",
-    "is_total_chern_trivial",
-    "is_z_trivial",
-    "kernel_backend",
-    "load_tower",
-    "matrix_line",
-    "parse_polynomial",
-    "parse_tower",
-    "permute",
-    "poincare_ranks",
-    "product_tower",
-    "reduced_characteristic_matrix",
-    "relation_residues",
-    "save_tower",
-    "search_iso",
-    "serialize_tower",
-    "stage_diagnostics",
-    "vector_matrix_transpose",
-    "z_trivial_oracle",
-]
+# public name -> "module" or "module:attribute" within this package
+_HOME = {
+    "ChernData": "cohomology",
+    "CohomRing": "cohomology",
+    "Decomposition": "triviality",
+    "Degree2Class": "triviality",
+    "Degree2Map": "isosearch",
+    "EnumerationConfig": "census",
+    "GeneratorCandidate": "triviality",
+    "Permutation": "tower",
+    "Polynomial": "poly",
+    "StageDiagnostic": "triviality",
+    "StageSpec": "tower",
+    "TowerSpec": "tower",
+    "TrivialityReport": "triviality",
+    "bott_q_trivial": "triviality",
+    "build_ring": "cohomology",
+    "check_hom": "isosearch",
+    "chern_classes": "cohomology",
+    "decompose": "triviality",
+    "default_names": "poly",
+    "enumerate_towers": "census",
+    "expected_count": "census",
+    "full_report": "triviality",
+    "generator_candidates": "triviality",
+    "is_iso": "isosearch",
+    "is_q_trivial": "triviality",
+    "is_total_chern_trivial": "triviality",
+    "is_z_trivial": "triviality",
+    "kernel_backend": "backend:KERNEL_NAME",
+    "load_tower": "tower",
+    "matrix_line": "tower",
+    "parse_polynomial": "poly",
+    "parse_tower": "tower",
+    "permute": "tower",
+    "poincare_ranks": "cohomology",
+    "product_tower": "tower",
+    "reduced_characteristic_matrix": "tower",
+    "relation_residues": "isosearch",
+    "save_tower": "tower",
+    "search_iso": "isosearch",
+    "serialize_tower": "tower",
+    "stage_diagnostics": "triviality",
+    "vector_matrix_transpose": "tower",
+    "z_trivial_oracle": "isosearch",
+}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    home = _HOME.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module, _, attr = home.partition(":")
+    attr = attr or name
+    # `from .module import attr`, with the module named at run time
+    value = getattr(__import__(module, globals(), None, (attr,), 1), attr)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_HOME))

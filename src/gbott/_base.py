@@ -1,0 +1,57 @@
+"""Definitions shared across gbott that import nothing: the read-only
+base of gbott's value types, and the census filter keys.
+
+`Frozen` is the base of the value types (`StageSpec`, `TowerSpec`,
+`Permutation`, `ChernData`, `Degree2Map`, the `triviality` results and
+`EnumerationConfig`).  A subclass lists its fields, in constructor
+order, as `__slots__`, and its `__init__` checks and normalises the
+arguments and stores each field with `_set(self, name, value)`.  The
+base gives it what a frozen dataclass would: equality and hash by
+fields, equal only to an instance of the same class; the repr
+`Name(field=value, ...)`; `AttributeError` on assignment; and pickling
+by calling the class on the fields again.  A class compared in a hot
+loop defines its own `__eq__` on its fields, and then its `__hash__`
+too, since defining `__eq__` resets it.
+
+The classes are plain slotted classes rather than dataclasses, so that
+no gbott module imports `dataclasses`, which costs more than a short
+`gbott iso` search does: it loads `inspect`, `ast`, `dis` and
+`tokenize` at every start.
+"""
+
+FILTER_KEYS = ("q", "z", "chern")
+"""The flags `gbott enumerate --filter` selects on, in report order."""
+
+_set = object.__setattr__
+
+
+class Frozen:
+    """Read-only value with the fields named by its class's `__slots__`."""
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(
+            f"{name}={getattr(self, name)!r}" for name in self.__slots__
+        )
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return self.__class__, self._fields()

@@ -36,37 +36,50 @@ do not depend on the order of the stream, and memory stays O(height).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Iterable, Iterator
+from collections.abc import Iterable, Iterator
 
+from ._base import FILTER_KEYS, Frozen, _set
 from .errors import GbottError
 from .tower import StageSpec, TowerSpec
 from .triviality import _EMPTY, _walk
 
-FILTER_KEYS = ("q", "z", "chern")
 
+class EnumerationConfig(Frozen):
+    """The bounds of a census: its height, the allowed fiber dimensions,
+    the twist bound, and the flags (`FILTER_KEYS`) a tower must have to
+    be emitted."""
 
-@dataclass(frozen=True)
-class EnumerationConfig:
+    __slots__ = ("height", "dims", "coeff_bound", "filters")
+
     height: int
     dims: tuple[int, ...]
     coeff_bound: int
-    filters: frozenset[str] = frozenset()
+    filters: frozenset[str]
 
-    def __post_init__(self):
-        object.__setattr__(self, "dims", tuple(sorted(set(int(d) for d in self.dims))))
-        object.__setattr__(self, "filters", frozenset(self.filters))
-        if self.height < 1:
+    def __init__(
+        self,
+        height: int,
+        dims: Iterable[int],
+        coeff_bound: int,
+        filters: Iterable[str] = frozenset(),
+    ):
+        dims = tuple(sorted(set(int(d) for d in dims)))
+        filters = frozenset(filters)
+        if height < 1:
             raise GbottError("height must be >= 1")
-        if not self.dims:
+        if not dims:
             raise GbottError("dims must be non-empty")
-        if any(d < 1 for d in self.dims):
+        if any(d < 1 for d in dims):
             raise GbottError("fiber dimensions must be >= 1")
-        if self.coeff_bound < 0:
+        if coeff_bound < 0:
             raise GbottError("coeff bound must be >= 0")
-        bad = self.filters - set(FILTER_KEYS)
+        bad = filters - set(FILTER_KEYS)
         if bad:
             raise GbottError(f"unknown filters: {sorted(bad)}")
+        _set(self, "height", height)
+        _set(self, "dims", dims)
+        _set(self, "coeff_bound", coeff_bound)
+        _set(self, "filters", filters)
 
 
 def enumerate_towers(

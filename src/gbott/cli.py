@@ -11,6 +11,10 @@ Commands:
 Exit codes: 0 success (or witness found), 1 completed but negative
 (no witness / not decomposable), 2 input error, 141 stdout closed
 early by its reader (as in `gbott enumerate ... | head`).
+
+Each command imports the gbott modules it runs when it starts, so that
+a call loads only those: `gbott iso` never loads the census or the
+deciders, and `gbott --version` loads no computation module at all.
 """
 
 from __future__ import annotations
@@ -20,19 +24,9 @@ import itertools
 import os
 import sys
 
-from . import census as census_mod
-from .cohomology import CohomRing
+from . import __version__
+from ._base import FILTER_KEYS
 from .errors import GbottError, PreconditionError
-from .isosearch import relation_residues, search_iso
-from .poly import default_names
-from .tower import (
-    TowerSpec,
-    load_tower,
-    serialize_tower,
-    stage_line,
-    vector_matrix_transpose,
-)
-from .triviality import decompose, full_report
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -49,7 +43,9 @@ def _fail(message: str) -> int:
     return EXIT_INPUT
 
 
-def _load(path: str) -> TowerSpec:
+def _load(path: str):
+    from .tower import load_tower
+
     try:
         return load_tower(path)
     except OSError as exc:
@@ -58,8 +54,10 @@ def _load(path: str) -> TowerSpec:
         raise GbottError(f"{path}: {exc}") from exc
 
 
-def _names(t: TowerSpec, raw: str | None) -> tuple[str, ...]:
+def _names(t, raw: str | None) -> tuple[str, ...]:
     if raw is None:
+        from .poly import default_names
+
         return default_names(t.height)
     names = tuple(n.strip() for n in raw.split(",") if n.strip())
     if len(names) != t.height:
@@ -69,7 +67,7 @@ def _names(t: TowerSpec, raw: str | None) -> tuple[str, ...]:
     return names
 
 
-def _chern_lines(t: TowerSpec, ring: CohomRing, names) -> list[str]:
+def _chern_lines(t, ring, names) -> list[str]:
     lines = ["chern classes:"]
     for cd in ring.chern:
         n = t.dims[cd.stage - 1]
@@ -81,6 +79,10 @@ def _chern_lines(t: TowerSpec, ring: CohomRing, names) -> list[str]:
 
 
 def cmd_report(args) -> int:
+    from .cohomology import CohomRing
+    from .tower import vector_matrix_transpose
+    from .triviality import full_report
+
     t = _load(args.file)
     names = _names(t, args.names)
     report = full_report(t)
@@ -101,6 +103,8 @@ def cmd_report(args) -> int:
 
 
 def cmd_chern(args) -> int:
+    from .cohomology import CohomRing
+
     t = _load(args.file)
     names = _names(t, args.names)
     ring = CohomRing(t)
@@ -109,6 +113,8 @@ def cmd_chern(args) -> int:
 
 
 def cmd_ring(args) -> int:
+    from .cohomology import CohomRing
+
     t = _load(args.file)
     names = _names(t, args.names)
     print(CohomRing(t).report(names))
@@ -121,6 +127,9 @@ def _at_least_one(flag: str, value: int | None) -> None:
 
 
 def cmd_iso(args) -> int:
+    from .cohomology import CohomRing
+    from .isosearch import relation_residues, search_iso
+
     _at_least_one("--bound", args.bound)
     _at_least_one("--workers", args.workers)
     t_src = _load(args.fileA)
@@ -146,6 +155,9 @@ def cmd_iso(args) -> int:
 
 
 def cmd_decompose(args) -> int:
+    from .tower import serialize_tower
+    from .triviality import decompose
+
     t = _load(args.file)
     try:
         dec = decompose(t)
@@ -161,6 +173,9 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
+    from . import census as census_mod
+    from .tower import stage_line
+
     dims = []
     for raw in args.dims.split(","):
         try:
@@ -174,7 +189,7 @@ def cmd_enumerate(args) -> int:
         filters=frozenset(args.filter or ()),
     )
     # the line ending of each flag combination the filters let through
-    required = tuple(key in config.filters for key in census_mod.FILTER_KEYS)
+    required = tuple(key in config.filters for key in FILTER_KEYS)
     endings = {
         flags: "  q={} z={} chern={}\n".format(*map(int, flags))
         for flags in itertools.product((False, True), repeat=3)
@@ -221,6 +236,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gbott",
         description="Exact cohomology computations for generalized Bott towers.",
+    )
+    parser.add_argument(
+        "--version", action="version", version=f"gbott {__version__}"
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -276,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--filter",
         action="append",
-        choices=census_mod.FILTER_KEYS,
+        choices=FILTER_KEYS,
         help="emit only towers with this flag (repeatable)",
     )
     p.set_defaults(func=cmd_enumerate)

@@ -42,22 +42,24 @@ it on first use; a ring made only to be searched or decided never does.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cached_property
 
 from . import _kernel_py as _k
+from ._base import Frozen, _set
 from .errors import DimensionMismatch
 from .poly import Polynomial, default_names
 from .tower import TowerSpec
 
 
-@dataclass(frozen=True)
-class ChernData:
+class ChernData(Frozen):
     """Chern classes c_0..c_{n_i} of one stage bundle, embedded in the
     full generator set; c_0 = 1 and c_k = 0 for k > n_i by convention."""
 
-    stage: int
-    classes: tuple[Polynomial, ...]
+    __slots__ = ("stage", "classes")
+
+    def __init__(self, stage: int, classes: tuple[Polynomial, ...]):
+        _set(self, "stage", stage)
+        _set(self, "classes", classes)
 
     def total(self) -> Polynomial:
         out = self.classes[0]

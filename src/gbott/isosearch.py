@@ -60,9 +60,9 @@ from __future__ import annotations
 import itertools
 import math
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._base import Frozen, _set
 from .cohomology import CohomRing, times_form
 from .errors import DimensionMismatch, PreconditionError
 from .poly import Polynomial
@@ -71,18 +71,19 @@ from .tower import TowerSpec, product_tower
 Matrix = tuple[tuple[int | Fraction, ...], ...]
 
 
-@dataclass(frozen=True)
-class Degree2Map:
+class Degree2Map(Frozen):
     """x_j -> sum_i matrix[i][j] X_i between two degree-2 spaces."""
+
+    __slots__ = ("matrix",)
 
     matrix: Matrix
 
-    def __post_init__(self):
-        rows = tuple(tuple(x for x in row) for row in self.matrix)
-        object.__setattr__(self, "matrix", rows)
+    def __init__(self, matrix):
+        rows = tuple(tuple(row) for row in matrix)
         h = len(rows)
         if any(len(row) != h for row in rows):
             raise DimensionMismatch("matrix must be square")
+        _set(self, "matrix", rows)
 
     @property
     def size(self) -> int:

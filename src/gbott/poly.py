@@ -18,9 +18,9 @@ unit exponents omitted, e.g. "y^4 + x*y^3" or "1/2*x1*x2^2".
 from __future__ import annotations
 
 import re
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Iterable, Mapping
 
 from . import _kernel_py as _k
 from .errors import DimensionMismatch, PolynomialSyntaxError

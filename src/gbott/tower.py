@@ -9,7 +9,8 @@ stage bundle.
 
 Stage indices are 1-based throughout, matching the usual subscripts.
 
-Text file format (UTF-8, one tower per file):
+Text file format (UTF-8, one tower per file; a leading byte-order mark
+is ignored):
 
     stage n=<int>        one header per stage, in order
     <i-1 integers>       then exactly n_i coefficient rows for stage i
@@ -26,43 +27,60 @@ Text file format (UTF-8, one tower per file):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable
+from collections.abc import Iterable
 
+from ._base import Frozen, _set
 from .errors import InadmissiblePermutation, TowerFormatError, TowerValidationError
 
 
-@dataclass(frozen=True)
-class StageSpec:
+class StageSpec(Frozen):
     """One stage: fiber dimension n_i and its n_i x (i-1) twist matrix."""
 
+    __slots__ = ("fiber_dim", "coeffs")
+
     fiber_dim: int
-    coeffs: tuple[tuple[int, ...], ...] = ()
+    coeffs: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "coeffs", tuple(tuple(int(x) for x in row) for row in self.coeffs)
-        )
-        object.__setattr__(self, "fiber_dim", int(self.fiber_dim))
+    def __init__(self, fiber_dim: int, coeffs: Iterable[Iterable[int]] = ()):
+        _set(self, "fiber_dim", int(fiber_dim))
+        _set(self, "coeffs", tuple(tuple(int(x) for x in row) for row in coeffs))
+
+    # compared stage by stage in the census's prefix walk, so directly
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.fiber_dim == other.fiber_dim and self.coeffs == other.coeffs
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.fiber_dim, self.coeffs))
 
 
-@dataclass(frozen=True)
-class TowerSpec:
+class TowerSpec(Frozen):
     """An ordered list of stages; validated on construction."""
+
+    __slots__ = ("stages",)
 
     stages: tuple[StageSpec, ...]
 
-    def __post_init__(self):
+    def __init__(self, stages: Iterable[StageSpec]):
         stages = tuple(
-            s if isinstance(s, StageSpec) else StageSpec(*s) for s in self.stages
+            s if isinstance(s, StageSpec) else StageSpec(*s) for s in stages
         )
         # Stage 1 has an n_1 x 0 matrix; allow it to be written with no
         # rows at all and canonicalize to n_1 empty rows.
         if stages and stages[0].coeffs == () and stages[0].fiber_dim > 0:
             first = StageSpec(stages[0].fiber_dim, ((),) * stages[0].fiber_dim)
             stages = (first,) + stages[1:]
-        object.__setattr__(self, "stages", stages)
+        _set(self, "stages", stages)
         self.validate()
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.stages == other.stages
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.stages,))
 
     def validate(self) -> None:
         """Raise TowerValidationError unless every stage has a positive
@@ -119,17 +137,18 @@ def product_tower(dims: Iterable[int]) -> TowerSpec:
     )
 
 
-@dataclass(frozen=True)
-class Permutation:
+class Permutation(Frozen):
     """A bijection on {1..h}; images[i-1] is the image of i."""
+
+    __slots__ = ("images",)
 
     images: tuple[int, ...]
 
-    def __post_init__(self):
-        images = tuple(int(x) for x in self.images)
-        object.__setattr__(self, "images", images)
+    def __init__(self, images: Iterable[int]):
+        images = tuple(int(x) for x in images)
         if sorted(images) != list(range(1, len(images) + 1)):
             raise ValueError(f"not a permutation of 1..{len(images)}: {images}")
+        _set(self, "images", images)
 
     @classmethod
     def identity(cls, h: int) -> "Permutation":
@@ -320,8 +339,19 @@ def parse_tower(text: str) -> TowerSpec:
 
 
 def load_tower(path) -> TowerSpec:
-    with open(path, "r", encoding="utf-8") as f:
-        return parse_tower(f.read())
+    """Read and parse a tower file.  A leading byte-order mark is
+    skipped, as the utf-8-sig codec does; bytes that are not UTF-8 raise
+    TowerFormatError naming their line."""
+    with open(path, "rb") as f:
+        data = f.read().removeprefix(b"\xef\xbb\xbf")
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise TowerFormatError(
+            f"not UTF-8: byte 0x{data[exc.start]:02x} ({exc.reason})",
+            line=data.count(b"\n", 0, exc.start) + 1,
+        ) from None
+    return parse_tower(text)
 
 
 def save_tower(t: TowerSpec, path) -> None:

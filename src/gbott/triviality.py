@@ -56,8 +56,8 @@ produces that form.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
+from ._base import Frozen, _set
 from .cohomology import CohomRing, extend_table, stage_classes, times_form
 from .errors import (
     InadmissiblePermutation,
@@ -68,14 +68,15 @@ from .poly import Polynomial, default_names
 from .tower import Permutation, TowerSpec, permute
 
 
-@dataclass(frozen=True)
-class Degree2Class:
+class Degree2Class(Frozen):
     """An integer vector (b_1, ..., b_h) standing for sum b_j x_j."""
+
+    __slots__ = ("coeffs",)
 
     coeffs: tuple[int, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(int(b) for b in self.coeffs))
+    def __init__(self, coeffs):
+        _set(self, "coeffs", tuple(int(b) for b in coeffs))
 
     @property
     def is_primitive(self) -> bool:
@@ -88,53 +89,84 @@ class Degree2Class:
         return self.to_polynomial().serialize(names)
 
 
-@dataclass(frozen=True)
-class GeneratorCandidate:
+class GeneratorCandidate(Frozen):
     """The canonical degree-2 generator candidate of one stage: the
     primitive vector with positive x_i-coefficient on the line spanned
     by (n_i+1) x_i + c_1(xi_i), together with its scale r_i."""
 
-    stage: int
-    scale: int
-    vector: Degree2Class
+    __slots__ = ("stage", "scale", "vector")
+
+    def __init__(self, stage: int, scale: int, vector: Degree2Class):
+        _set(self, "stage", stage)
+        _set(self, "scale", scale)
+        _set(self, "vector", vector)
 
 
-@dataclass(frozen=True)
-class StageDiagnostic:
+class StageDiagnostic(Frozen):
     """Per-stage outcome: the first k whose Chern identity fails, or the
     stage's generator candidate when all identities hold."""
 
-    stage: int
-    fiber_dim: int
-    violated_k: int | None = None
-    candidate: GeneratorCandidate | None = None
+    __slots__ = ("stage", "fiber_dim", "violated_k", "candidate")
+
+    def __init__(
+        self,
+        stage: int,
+        fiber_dim: int,
+        violated_k: int | None = None,
+        candidate: GeneratorCandidate | None = None,
+    ):
+        _set(self, "stage", stage)
+        _set(self, "fiber_dim", fiber_dim)
+        _set(self, "violated_k", violated_k)
+        _set(self, "candidate", candidate)
 
     @property
     def passed(self) -> bool:
         return self.violated_k is None
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(Frozen):
     """Reordering of a Q-trivial tower with all n = 1 stages leading."""
 
-    permutation: Permutation
-    reordered: TowerSpec
-    bott_height: int
-    base: TowerSpec
-    fiber_dims: tuple[int, ...]
+    __slots__ = ("permutation", "reordered", "bott_height", "base", "fiber_dims")
+
+    def __init__(
+        self,
+        permutation: Permutation,
+        reordered: TowerSpec,
+        bott_height: int,
+        base: TowerSpec,
+        fiber_dims: tuple[int, ...],
+    ):
+        _set(self, "permutation", permutation)
+        _set(self, "reordered", reordered)
+        _set(self, "bott_height", bott_height)
+        _set(self, "base", base)
+        _set(self, "fiber_dims", fiber_dims)
 
 
-@dataclass(frozen=True)
-class TrivialityReport:
-    q_trivial: bool
-    z_trivial: bool
-    total_chern_trivial: bool
-    per_stage: tuple[StageDiagnostic, ...]
-    decomposition: Decomposition | None = None
+class TrivialityReport(Frozen):
+    """The three flags of a tower, each stage's diagnostic, and the
+    decomposition when the tower is Q-trivial."""
 
-    def __post_init__(self):
-        _check_flags(self.q_trivial, self.z_trivial, self.total_chern_trivial)
+    __slots__ = (
+        "q_trivial", "z_trivial", "total_chern_trivial", "per_stage", "decomposition"
+    )
+
+    def __init__(
+        self,
+        q_trivial: bool,
+        z_trivial: bool,
+        total_chern_trivial: bool,
+        per_stage: tuple[StageDiagnostic, ...],
+        decomposition: Decomposition | None = None,
+    ):
+        _check_flags(q_trivial, z_trivial, total_chern_trivial)
+        _set(self, "q_trivial", q_trivial)
+        _set(self, "z_trivial", z_trivial)
+        _set(self, "total_chern_trivial", total_chern_trivial)
+        _set(self, "per_stage", per_stage)
+        _set(self, "decomposition", decomposition)
 
     def to_dict(self) -> dict:
         out = {

@@ -103,6 +103,28 @@ def test_missing_file_exits_2(capsys):
     assert "error" in err
 
 
+def test_non_utf8_file_exits_2_with_line(capsys, tmp_path, data_dir):
+    bad = tmp_path / "latin1.tower"
+    bad.write_bytes(b"stage n=2\nstage n=3\n0\n# caf\xe9\n0\n2\n")
+    code, out, err = run(
+        capsys, "iso", str(bad), path(data_dir, "qtwin_a.tower"),
+        "--coeff", "q", "--bound", "1",
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {bad}: line 4: ")
+    assert "0xe9" in err
+
+
+def test_leading_byte_order_mark_is_ignored(capsys, tmp_path, data_dir):
+    plain = (data_dir / "qtwin_a.tower").read_bytes()
+    marked = tmp_path / "bom.tower"
+    marked.write_bytes(b"\xef\xbb\xbf" + plain)
+    code, out, err = run(capsys, "ring", str(marked))
+    assert (code, err) == (0, "")
+    assert out == run(capsys, "ring", path(data_dir, "qtwin_a.tower"))[1]
+
+
 # -- iso ------------------------------------------------------------------------
 
 def test_iso_q_witness(capsys, data_dir):
@@ -238,6 +260,14 @@ def test_enumerate_filters(capsys):
     records = [l for l in out.splitlines() if not l.startswith("#")]
     assert records == ["1 0/0 1  q=1 z=1 chern=1"]
     assert "# towers: 3 emitted: 1" in out
+
+
+def test_enumerate_unknown_filter_exits_2(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["enumerate", "--height", "2", "--dims", "1", "--bound", "1",
+              "--filter", "bogus"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'bogus'" in capsys.readouterr().err
 
 
 def test_enumerate_deterministic(capsys):
