@@ -41,7 +41,6 @@ from collections.abc import Iterable, Iterator
 from ._base import FILTER_KEYS, Frozen, _set
 from .errors import GbottError
 from .tower import StageSpec, TowerSpec
-from .triviality import _EMPTY, _walk
 
 
 class EnumerationConfig(Frozen):
@@ -145,6 +144,9 @@ def classify(
     """Yield (tower, (q_trivial, z_trivial, total_chern_trivial)) for
     each tower, with the flags `full_report` gives it, deciding each
     stage once per run of towers that share the prefix up to it."""
+    # here, so that a program that only generates towers loads no decider
+    from .triviality import _EMPTY, _walk
+
     levels = [_EMPTY]  # levels[j]: the state of the last prefix of height j seen
     seen: tuple[StageSpec, ...] = ()  # the stages of those prefixes
     for t in towers:

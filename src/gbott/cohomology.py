@@ -34,9 +34,13 @@ A product of linear forms, such as the image of a relation under a
 degree-2 map or a stage's Chern class, is computed by applying one map
 per factor (`times_form`).  `CohomRing.normal_form` reads the table too:
 the vector of a monomial x^e is that of x^(e - e_m) under X_m, memoised
-on the ring.  The polynomial presentation (`relations`, `chern`) is only
-for display and for the tests' independent references, so a ring builds
-it on first use; a ring made only to be searched or decided never does.
+on the ring.  The polynomial presentation (`relations`, `chern`,
+`polynomial`, `normal_form`, `report`, `chern_classes`) is only for
+display and for the tests' independent references, so a ring builds it
+on first use, and this module loads gbott.poly (with `fractions`) and
+the term kernel only then: a ring made only to be searched or decided
+never builds it, and a program that only searches or decides never
+loads them.
 """
 
 from __future__ import annotations
@@ -44,10 +48,8 @@ from __future__ import annotations
 import itertools
 from functools import cached_property
 
-from . import _kernel_py as _k
 from ._base import Frozen, _set
 from .errors import DimensionMismatch
-from .poly import Polynomial, default_names
 from .tower import TowerSpec
 
 
@@ -73,6 +75,8 @@ class ChernData(Frozen):
             raise IndexError("negative Chern index")
         if k < len(self.classes):
             return self.classes[k]
+        from .poly import Polynomial
+
         return Polynomial.zero(self.classes[0].nvars)
 
 
@@ -83,6 +87,9 @@ def chern_classes(t: TowerSpec, stage: int) -> ChernData:
     is 1."""
     if not 1 <= stage <= t.height:
         raise IndexError(f"stage {stage} out of range 1..{t.height}")
+    from . import _kernel_py as _k
+    from .poly import Polynomial
+
     h = t.height
     elementary = [_k.punit(h)]
     for row in t.stages[stage - 1].coeffs:
@@ -128,6 +135,9 @@ class CohomRing:
     @cached_property
     def relations(self) -> tuple[Polynomial, ...]:
         """r_i = x_i * prod_j (l_ij + x_i), one per stage."""
+        from . import _kernel_py as _k
+        from .poly import Polynomial
+
         out = []
         for i, stage in enumerate(self.tower.stages, start=1):
             xi = Polynomial.variable(i, self.nvars)._terms
@@ -185,6 +195,8 @@ class CohomRing:
     def polynomial(self, vec: dict) -> Polynomial:
         """The polynomial of a sparse vector of this ring in block order
         (a vector of `block_table()`)."""
+        from .poly import Polynomial
+
         exps = self._block_exponents
         return Polynomial._wrap({exps[b]: c for b, c in vec.items() if c}, self.nvars)
 
@@ -249,6 +261,8 @@ class CohomRing:
 
     def report(self, names=None) -> str:
         """Text presentation: generators, relations, Poincare ranks."""
+        from .poly import default_names
+
         names = tuple(names) if names is not None else default_names(self.nvars)
         lines = [
             "generators: "

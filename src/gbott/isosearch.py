@@ -44,6 +44,23 @@ stays per node, since it depends on the earlier columns themselves.
 A search holds at most `_MEMO_KEYS` keys; a new key past that evicts
 the oldest one.
 
+A list is filled through the target's prefix rings.  Setting
+X_(k+1)..X_h to 0 is a ring map from the target R onto the ring R_k of
+its height-k prefix, since the later relations lie in (X_m); in block
+order R_k's basis is the first rank R_k indices of R's, and X_1..X_k
+keep them there.  So the image of r_j in R_k under a column's first k
+entries is `_relation_image` on the same table with the column and the
+offsets cut after k entries, and when it is non-zero no column with
+those first k entries passes.  The column's coordinates are walked in
+product order, in blocks cut at each level k < h where R_k can hold the
+relation (its top degree n_1 + ... + n_k is at least n_j + 1; below
+that every image in R_k vanishes), and a prefix whose image fails is
+skipped with all its extensions.  The walk yields the passing columns
+in the order the whole product would, so every list, and with it the
+first witness, is the one that testing every column gives.  With no
+such level the walk is a single product.  Over Z the gcd filter is
+applied to whole columns only.
+
 The search is deterministic.  It runs in this process, first column by
 first column.  With workers > 1, a search still running after
 `_SEQUENTIAL_S` seconds hands over at its next first column k: the
@@ -60,15 +77,11 @@ from __future__ import annotations
 import itertools
 import math
 import time
-from fractions import Fraction
 
 from ._base import Frozen, _set
 from .cohomology import CohomRing, times_form
 from .errors import DimensionMismatch, PreconditionError
-from .poly import Polynomial
 from .tower import TowerSpec, product_tower
-
-Matrix = tuple[tuple[int | Fraction, ...], ...]
 
 
 class Degree2Map(Frozen):
@@ -76,7 +89,7 @@ class Degree2Map(Frozen):
 
     __slots__ = ("matrix",)
 
-    matrix: Matrix
+    matrix: tuple[tuple[int | Fraction, ...], ...]
 
     def __init__(self, matrix):
         rows = tuple(tuple(row) for row in matrix)
@@ -99,7 +112,9 @@ class Degree2Map(Frozen):
         """Image coefficients of source generator j (1-based)."""
         return tuple(row[j - 1] for row in self.matrix)
 
-    def det(self) -> Fraction:
+    def det(self) -> int | Fraction:
+        """The exact determinant: an int when every entry is an int, a
+        Fraction otherwise."""
         return _det(self.matrix)
 
     def serialize(self) -> str:
@@ -137,9 +152,15 @@ def _eliminate(m: list[list[int]]) -> tuple[int, int]:
     return rank, sign * prev
 
 
-def _det(rows) -> Fraction:
-    """Exact determinant; Fraction entries are brought to a common
-    denominator first."""
+def _det(rows) -> int | Fraction:
+    """Exact determinant.  An integer matrix is eliminated as it is and
+    gives an int; a matrix with Fraction entries is brought to a common
+    denominator first and gives a Fraction."""
+    if all(isinstance(x, int) for row in rows for x in row):
+        rank, d = _eliminate([list(row) for row in rows])
+        return d if rank == len(rows) else 0
+    from fractions import Fraction  # only a rational matrix needs it
+
     m = [[Fraction(x) for x in row] for row in rows]
     den = math.lcm(*(x.denominator for row in m for x in row))
     scaled = [[x.numerator * (den // x.denominator) for x in row] for row in m]
@@ -252,6 +273,8 @@ class _PassingColumns:
         self.h = tgt.nvars
         self.over_integers = over_integers
         self.lists: dict = {}
+        # tops[k]: the top degree n_1 + ... + n_k of the prefix ring R_k
+        self.tops = tuple(itertools.accumulate(tgt.caps, initial=0))
 
     def __call__(self, offsets: list[tuple]):
         """Iterator over the passing columns for these offsets."""
@@ -276,12 +299,29 @@ class _PassingColumns:
             i += 1
 
     def _passing(self, offsets: list[tuple]):
-        """The columns that pass the gcd filter and the relation."""
-        for col in itertools.product(self.values, repeat=self.h):
-            if self.over_integers and math.gcd(*col) != 1:
-                continue  # a unimodular matrix has only primitive columns
-            if not _relation_image(self.table, col, offsets):
-                yield col
+        """The columns that pass the gcd filter and the relation, in
+        product order: the coordinates in blocks ending at the levels in
+        `cuts`, a prefix whose image in the prefix ring fails skipped with
+        all its extensions (see the module docstring)."""
+        h, table, values = self.h, self.table, self.values
+        degree = len(offsets) + 1
+        cuts = [k for k in range(1, h) if self.tops[k] >= degree] + [h]
+
+        def walk(prefix: tuple, level: int):
+            hi = cuts[level]
+            last = hi == h
+            cut = [off[:hi] for off in offsets]
+            for block in itertools.product(values, repeat=hi - len(prefix)):
+                col = prefix + block
+                if last and self.over_integers and math.gcd(*col) != 1:
+                    continue  # a unimodular matrix has only primitive columns
+                if not _relation_image(table, col, cut):
+                    if last:
+                        yield col
+                    else:
+                        yield from walk(col, level + 1)
+
+        return walk((), 0)
 
 
 def _position(col: tuple, bound: int) -> int:
@@ -446,9 +486,9 @@ def _parallel_search(src, tgt, over_integers, bound, workers, start):
     total = (2 * bound + 1) ** src.nvars
     size = -(-(total - start) // (workers * _RANGES_PER_WORKER))
     ranges = ((s, min(s + size, total)) for s in range(start, total, size))
-    # the forked workers inherit tgt's table, which the in-process part
-    # of the search has built
-    ctx = multiprocessing.get_context("fork")
+    # the platform's default start method; tgt is pickled into each
+    # worker with the table the in-process part of the search has built
+    ctx = multiprocessing.get_context()
     stop = ctx.Event()
     pool = ctx.Pool(
         processes=workers,

@@ -229,6 +229,10 @@ class Polynomial:
     def __hash__(self) -> int:
         return hash((self._nvars, frozenset(self._terms.items())))
 
+    def __reduce__(self):
+        # rebuilt through the constructor, under every pickle protocol
+        return Polynomial, (self._nvars, self._terms)
+
     # -- text form ---------------------------------------------------------
 
     def serialize(self, names: Iterable[str] | None = None) -> str:

@@ -64,7 +64,6 @@ from .errors import (
     InternalConsistencyError,
     PreconditionError,
 )
-from .poly import Polynomial, default_names
 from .tower import Permutation, TowerSpec, permute
 
 
@@ -83,6 +82,8 @@ class Degree2Class(Frozen):
         return math.gcd(*self.coeffs) == 1 if self.coeffs else False
 
     def to_polynomial(self) -> Polynomial:
+        from .poly import Polynomial  # only text and tests need it
+
         return Polynomial.linear(self.coeffs)
 
     def serialize(self, names=None) -> str:
@@ -192,6 +193,8 @@ class TrivialityReport(Frozen):
         return out
 
     def to_text(self, names=None) -> str:
+        from .poly import default_names
+
         names = tuple(names) if names is not None else default_names(
             len(self.per_stage)
         )

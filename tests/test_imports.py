@@ -13,11 +13,10 @@ import gbott
 SRC = pathlib.Path(gbott.__file__).resolve().parents[1]
 DATA = pathlib.Path(__file__).parent / "data"
 
-# One fresh interpreter, in phases: a bare `import gbott`, then
-# `gbott --version`, then an iso search.  After each phase it records
-# the modules that phase newly loaded; modules that `site` preloads
-# are not new to any of them.
-CHILD = """
+# A fresh interpreter runs a script in phases; after each phase it
+# records the modules that phase newly loaded.  Modules that `site`
+# preloads are not new to any of them.
+PHASES = """
 import json, sys
 seen = set(sys.modules)
 phases = {}
@@ -28,6 +27,11 @@ def phase(name):
     phases[name] = sorted(now - seen)
     seen = now
 
+"""
+
+# The command line: a bare `import gbott`, then `gbott --version`, then
+# an iso search that exhausts its bound, then one that finds a witness.
+CLI = """
 import gbott
 phase("import")
 from gbott import cli
@@ -36,6 +40,10 @@ try:
 except SystemExit as exc:
     phases["version_exit"] = exc.code
 phase("version")
+phases["exhaust_exit"] = cli.main(
+    ["iso", sys.argv[1], sys.argv[2], "--coeff", "z", "--bound", "3"]
+)
+phase("exhaust")
 phases["iso_exit"] = cli.main(
     ["iso", sys.argv[1], sys.argv[2], "--coeff", "q", "--bound", "2"]
 )
@@ -45,12 +53,23 @@ phases["isosearch_is_module"] = isosearch is sys.modules["gbott.isosearch"]
 print(json.dumps(phases))
 """
 
+# The library, as the census and the oracle sweep use it: a census
+# config and its towers, then the brute-force oracle on each.
+LIBRARY = """
+import gbott
+phase("import")
+config = gbott.EnumerationConfig(2, (1, 2), 1)
+towers = list(gbott.enumerate_towers(config.height, config.dims, config.coeff_bound))
+phase("census")
+answers = [gbott.z_trivial_oracle(t, bound=2) for t in towers]
+phase("oracle")
+print(json.dumps(phases))
+"""
 
-@pytest.fixture(scope="module")
-def child():
+
+def _run(script: str, *args: str):
     proc = subprocess.run(
-        [sys.executable, "-c", CHILD, str(DATA / "qtwin_a.tower"),
-         str(DATA / "qtwin_b.tower")],
+        [sys.executable, "-c", PHASES + script, *args],
         cwd=SRC,
         capture_output=True,
         text=True,
@@ -59,6 +78,16 @@ def child():
     assert proc.returncode == 0, proc.stderr
     *printed, last = proc.stdout.splitlines()
     return printed, json.loads(last)
+
+
+@pytest.fixture(scope="module")
+def child():
+    return _run(CLI, str(DATA / "qtwin_a.tower"), str(DATA / "qtwin_b.tower"))
+
+
+@pytest.fixture(scope="module")
+def library():
+    return _run(LIBRARY)[1]
 
 
 def test_bare_import_loads_no_submodule(child):
@@ -74,13 +103,43 @@ def test_version_loads_no_computation_module(child):
     assert loaded <= {"gbott.cli", "gbott.errors", "gbott._base"}
 
 
+def test_exhaustive_iso_loads_only_the_search(child):
+    """A search that finds nothing prints no polynomial, so it loads
+    neither the polynomial layer nor `fractions`."""
+    printed, phases = child
+    assert phases["exhaust_exit"] == 1
+    assert printed[1] == "none within bound 3"
+    loaded = set(phases["exhaust"])
+    assert {m for m in loaded if m.startswith("gbott")} == {
+        "gbott.tower", "gbott.cohomology", "gbott.isosearch"
+    }
+    unwanted = {
+        "gbott.poly", "gbott._kernel_py", "gbott.census", "gbott.triviality",
+        "fractions", "decimal",
+    }
+    assert not unwanted & loaded
+
+
 def test_iso_loads_neither_census_nor_dataclasses(child):
     printed, phases = child
     assert phases["iso_exit"] == 0
     assert "witness (column j is the image of source generator j):" in printed
-    loaded = set(phases["import"] + phases["version"] + phases["iso"])
+    # the witness's residues are printed as polynomials
+    assert "gbott.poly" in phases["iso"]
+    loaded = set(phases["import"] + phases["version"] + phases["exhaust"] + phases["iso"])
     unwanted = {"gbott.census", "gbott.triviality", "dataclasses", "inspect", "typing"}
     assert not unwanted & loaded
+
+
+def test_census_set_up_loads_no_decider(library):
+    loaded = {m for m in library["census"] if m.startswith("gbott")}
+    assert loaded == {"gbott.census", "gbott.tower", "gbott._base", "gbott.errors"}
+
+
+def test_oracle_loads_no_polynomials(library):
+    loaded = set(library["census"] + library["oracle"])
+    assert not {"gbott.poly", "gbott._kernel_py", "fractions"} & loaded
+    assert "gbott.isosearch" in loaded
 
 
 def test_from_gbott_import_submodule(child):

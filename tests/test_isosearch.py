@@ -181,6 +181,8 @@ sparse_entries = st.one_of(st.just(0), st.integers(-4, 4))
 @settings(max_examples=200, deadline=None)
 def test_det_matches_fraction_elimination(rows):
     assert _det(rows) == fraction_det(rows)
+    d = Degree2Map(rows).det()
+    assert type(d) is int and d == fraction_det(rows)
     halves = [[Fraction(x, 2 + i) for i, x in enumerate(row)] for row in rows]
     assert _det(halves) == fraction_det(halves)
 
@@ -378,6 +380,24 @@ def test_short_search_starts_no_pool(monkeypatch):
         assert search_iso(src, tgt, coeff == "z", bound, workers=2) is None
 
 
+def test_prefix_rings_prune_columns(monkeypatch):
+    """A column prefix whose relation image is non-zero already in a
+    prefix ring of the target is dropped with all its extensions.  On the
+    interrupt test's twisted pair at bound 3 the prefix walk makes 22 512
+    relation images, truncated ones included; testing every column of
+    the product order makes 76 489."""
+    calls = []
+    relation_image = isosearch._relation_image
+    monkeypatch.setattr(
+        isosearch, "_relation_image",
+        lambda *args: calls.append(1) or relation_image(*args),
+    )
+    t = TowerSpec((StageSpec(1), StageSpec(1, ((2,),)), StageSpec(1, ((-2, 1),))))
+    src, tgt = CohomRing(t), CohomRing(product_tower((1, 1, 1)))
+    assert search_iso(src, tgt, over_integers=False, bound=3) is None
+    assert len(calls) <= 25_000
+
+
 class _RecordingMemo(isosearch._PassingColumns):
     """The search's memo, keeping every instance and its largest size."""
 
@@ -492,6 +512,42 @@ def test_parallel_search_terminates_when_repeated():
     )
     assert code == 0, err
     assert out.strip() == "ok"
+
+
+def test_pool_without_fork_agrees_with_sequential():
+    """Under the spawn start method, whose workers import gbott afresh
+    and receive the rings pickled, the pool returns the sequential
+    search's answers."""
+    code, out, err = _run_child(
+        """
+        import multiprocessing
+
+        from gbott import CohomRing, StageSpec, TowerSpec, isosearch, search_iso
+
+        if __name__ == "__main__":
+            multiprocessing.set_start_method("spawn")
+            isosearch._SEQUENTIAL_S = 0  # every search below runs in the pool
+            contexts = []
+            get_context = multiprocessing.get_context
+            multiprocessing.get_context = (
+                lambda *method: contexts.append(get_context(*method)) or contexts[-1]
+            )
+            a = TowerSpec((StageSpec(2), StageSpec(3, ((0,), (0,), (1,)))))
+            b = TowerSpec((StageSpec(2), StageSpec(3, ((0,), (0,), (2,)))))
+            for over_integers, bound in ((False, 2), (True, 3), (False, 4)):
+                seq = search_iso(CohomRing(a), CohomRing(b), over_integers, bound)
+                par = search_iso(
+                    CohomRing(a), CohomRing(b), over_integers, bound, workers=2
+                )
+                assert par == seq, (over_integers, bound, par, seq)
+                print(seq and seq.matrix)
+            assert len(contexts) == 3, contexts
+            assert all(c.get_start_method() == "spawn" for c in contexts)
+        """,
+        timeout=120,
+    )
+    assert code == 0, err
+    assert out.split("\n")[:3] == ["((2, 0), (0, 1))", "None", "((2, 0), (0, 1))"]
 
 
 def test_interrupted_parallel_search_exits():

@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 import gbott
 from gbott import (
     CohomRing,
+    Degree2Map,
     Polynomial,
     StageSpec,
     TowerSpec,
@@ -22,6 +23,7 @@ from gbott import (
     enumerate_towers,
     full_report,
     generator_candidates,
+    is_iso,
     is_q_trivial,
     is_total_chern_trivial,
     is_z_trivial,
@@ -331,6 +333,29 @@ def test_decompose_zero_blocks_and_swap_realization():
                     assert all(row[k - 1] == 0 for row in stage.coeffs)
         # the permutation is realized by the same tower conjugation
         assert permute(t, dec.permutation) == dec.reordered
+
+
+def test_q_trivial_towers_are_bundles_over_q_trivial_bott_towers():
+    """The paper's theorem on every Q-trivial tower of a census: the
+    lines-first reordering has a Q-trivial Bott tower as its base, and
+    the stage permutation, as the matrix sending generator i of the
+    reordered tower to generator images[i-1] of the tower, is a
+    Z-isomorphism of their rings (its transpose is not, in general)."""
+    checked = 0
+    for t in enumerate_towers(3, (1, 2), 1):
+        if not is_q_trivial(t):
+            continue
+        dec = decompose(t)
+        assert all(n == 1 for n in dec.base.dims)
+        assert bott_q_trivial(dec.base)
+        M = [[0] * t.height for _ in range(t.height)]
+        for i, image in enumerate(dec.permutation.images, start=1):
+            M[i - 1][image - 1] = 1
+        assert is_iso(
+            Degree2Map(M), CohomRing(dec.reordered), CohomRing(t), over_integers=True
+        ), t
+        checked += 1
+    assert checked == 208
 
 
 # -- aggregate report -----------------------------------------------------------------------

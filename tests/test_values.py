@@ -14,6 +14,7 @@ from gbott import (
     EnumerationConfig,
     GeneratorCandidate,
     Permutation,
+    Polynomial,
     StageDiagnostic,
     StageSpec,
     TowerSpec,
@@ -21,6 +22,7 @@ from gbott import (
     chern_classes,
     decompose,
     full_report,
+    parse_polynomial,
     product_tower,
 )
 
@@ -122,11 +124,20 @@ def test_value_type_contract(cls):
         a.extra = 1
     assert tuple(getattr(a, name) for name in names) == fields
 
-    # pickle (from protocol 2: a Polynomial field needs it) and copy
-    for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1):
+    # pickle, under every protocol, and copy
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
         back = pickle.loads(pickle.dumps(a, protocol))
         assert type(back) is cls and back == a and hash(back) == hash(a)
     assert copy.copy(a) == a and copy.deepcopy(a) == a
+
+
+def test_polynomial_pickles_under_every_protocol():
+    p = parse_polynomial("1/2*x1^2 - 3*x1*x2 + 4", 2)
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        back = pickle.loads(pickle.dumps(p, protocol))
+        assert type(back) is Polynomial and back == p and hash(back) == hash(p)
+        assert back.nvars == 2 and dict(back.terms) == dict(p.terms)
+    assert copy.copy(p) == p and copy.deepcopy(p) == p
 
 
 def test_defaults_and_normalisation():
