@@ -36,7 +36,6 @@ _HOME = {
     "TowerSpec": "tower",
     "TrivialityReport": "triviality",
     "bott_q_trivial": "triviality",
-    "build_ring": "cohomology",
     "check_hom": "isosearch",
     "chern_classes": "cohomology",
     "decompose": "triviality",

@@ -23,12 +23,11 @@ wraps x_i^(n+1) round to -(c_1 x_i^n + ... + c_n x_i), the c_k being
 sparse vectors of R_(i-1) (`stage_classes`).  No polynomial is
 rewritten.  The extension numbers the basis in block order, index
 p * rank(R_(i-1)) + b for x_i^p times R_(i-1)'s basis monomial b.
-`CohomRing.block_table` folds it over the stages, and
-`CohomRing.mult_table` maps the result onto `basis_exponents()` once.
-Index 0 is the unit in either order, and a product is zero, or two
-vectors equal, in either order alike; so the search, the deciders and
-the census work on block-order tables (of a tower's prefixes, for the
-deciders) and never pay for the mapping.
+`CohomRing.block_table` folds it over the stages.  Index 0 is the unit,
+and whether a product is zero, or two vectors equal, does not depend on
+how the basis is numbered; so the search, the deciders and the census
+all work on block-order tables (of a tower's prefixes, for the
+deciders), and no basis-order table is ever built.
 
 A product of linear forms, such as the image of a relation under a
 degree-2 map or a stage's Chern class, is computed by applying one map
@@ -123,7 +122,6 @@ class CohomRing:
         self.nvars = tower.height
         self.caps = tower.dims  # max basis exponent per generator
         self._basis = None
-        self._table = None
         self._blocks = None
 
     # -- presentation, built on first use -----------------------------------
@@ -225,10 +223,11 @@ class CohomRing:
         return block
 
     def block_table(self) -> tuple:
-        """The maps of `mult_table` in block order (see the module
-        docstring), as the stage extension builds them; index 0 is the
-        unit.  The ring's own computations and the isomorphism search
-        work on this table; built on first use and kept on the ring."""
+        """table[i][b] is X_(i+1) times the basis vector b in block order
+        (see the module docstring), as sparse (index, coefficient) pairs,
+        as the stage extension builds it; index 0 is the unit.  The
+        ring's own computations and the isomorphism search work on this
+        table; built on first use and kept on the ring."""
         if self._blocks is None:
             table = ()
             for i, stage in enumerate(self.tower.stages):
@@ -237,24 +236,6 @@ class CohomRing:
                 )
             self._blocks = table
         return self._blocks
-
-    def mult_table(self) -> tuple[tuple[tuple[tuple[int, int], ...], ...], ...]:
-        """table[i][b] is the normal form of X_(i+1) * x^basis[b] as
-        sparse (basis index, coefficient) pairs, where basis is
-        `basis_exponents()`; h * prod(n_i + 1) entries, built on first
-        use and kept on the ring: `block_table()` mapped onto the basis
-        order."""
-        if self._table is None:
-            index = {e: b for b, e in enumerate(self.basis_exponents())}
-            perm = [index[e] for e in self._block_exponents]
-            table = []
-            for rows in self.block_table():
-                mapped = [None] * len(rows)
-                for b, row in enumerate(rows):
-                    mapped[perm[b]] = tuple((perm[t], c) for t, c in row)
-                table.append(tuple(mapped))
-            self._table = tuple(table)
-        return self._table
 
     def poincare_ranks(self) -> tuple[int, ...]:
         return poincare_ranks(self.tower)
@@ -290,9 +271,8 @@ def _apply(rows, vec: dict) -> dict:
 
 def times_form(table, vec: dict, form) -> dict:
     """vec * sum_i form[i] X_(i+1) for a sparse basis vector vec (a dict
-    basis index -> nonzero coefficient) of the ring whose table, in
-    either order, is `table`; `form` may be shorter than the number of
-    generators."""
+    basis index -> nonzero coefficient) of the ring whose table is
+    `table`; `form` may be shorter than the number of generators."""
     out: dict = {}
     for i, w in enumerate(form):
         if w:
@@ -365,10 +345,6 @@ def extend_table(table, caps, classes) -> tuple:
         wrap.append(tuple(_apply(out[m], dict(wrap[b - stride])).items()))
     out.append(shift + wrap)
     return tuple(tuple(rows) for rows in out)
-
-
-def build_ring(t: TowerSpec) -> CohomRing:
-    return CohomRing(t)
 
 
 def poincare_ranks(t: TowerSpec) -> tuple[int, ...]:

@@ -40,12 +40,13 @@ stage will read it.  So the last generator's map is never built, and
 the first stage that settles their answer, building no table above it;
 `gbott.census` keeps each prefix's state for the many towers above it.
 `full_report` decides every stage, also above a failing one, since it
-reports each stage's diagnostic.  Under `__debug__` every table built
-for a passing stage is used to check that the stage's candidate has
-vanishing (n_i+1)-st power, and the walks that give all flags build the
-last map for that check too.  The deciders' `ring` argument is accepted
-for compatibility and not read.  The normal-form computation of the
-same identities is kept in the tests as the independent reference.
+reports each stage's diagnostic.  No walk builds a table that no stage
+reads, and `python -O` runs the same code.  The tests certify every
+Q-trivial tower of their censuses: the matrix whose column i is z_i is
+checked with `isosearch.is_iso`, a Q-isomorphism from the product ring
+onto the tower's, and a Z-isomorphism exactly when the tower is
+Z-trivial.  The normal-form computation of the same identities is kept
+in the tests as the independent reference.
 
 Every Q-trivial tower can be reordered, by conjugating with an
 admissible permutation, so that all n_i = 1 stages come first and no
@@ -58,7 +59,7 @@ from __future__ import annotations
 import math
 
 from ._base import Frozen, _set
-from .cohomology import CohomRing, extend_table, stage_classes, times_form
+from .cohomology import extend_table, stage_classes, times_form
 from .errors import (
     InadmissiblePermutation,
     InternalConsistencyError,
@@ -244,8 +245,8 @@ def _yn(flag: bool) -> str:
 def _first_violated_k(table, rows) -> tuple[int | None, bool, list[dict]]:
     """Decide the stage whose twist rows are `rows` (n rows of i-1
     entries) in any ring whose first generators are x_1..x_(i-1), given
-    by its multiplication table in either order (`CohomRing.mult_table`,
-    `CohomRing.block_table`, or a prefix table from `extend_table`).
+    by its multiplication table in block order (`CohomRing.block_table`,
+    or a prefix table from `extend_table`).
 
     Returns (k, chern, classes): k is the smallest k in 1..n+1 where
     (n+1)^k c_k != binom(n+1,k) c_1^k, or None if every identity holds;
@@ -300,26 +301,10 @@ def _decide_stage(
     return d, chern, classes
 
 
-def _extend(table, t: TowerSpec, d: StageDiagnostic, classes) -> tuple:
-    """The table of t's prefix up to stage d.stage, from the table below
-    it and the stage's classes.  Under __debug__ a passing stage's
-    candidate is checked on it: n+1 applications of the candidate's form
-    take 1 to 0."""
-    table = extend_table(table, t.dims[: d.stage - 1], classes)
-    if __debug__ and d.passed:
-        form = d.candidate.vector.coeffs[: d.stage]
-        power = {0: 1}
-        for _ in range(d.fiber_dim + 1):
-            power = times_form(table, power, form)
-        assert not power, "candidate power fails to vanish"
-    return table
-
-
 def _diagnose(t: TowerSpec) -> tuple[tuple[StageDiagnostic, ...], bool]:
     """Every stage decided once, stage i on the table of the height-(i-1)
     prefix, failing stages included: the diagnostics, and whether every
-    Chern class vanishes.  The last generator's map is built only for the
-    debug check."""
+    Chern class vanishes.  The last generator's map is never built."""
     out = []
     chern = True
     table = ()
@@ -327,12 +312,12 @@ def _diagnose(t: TowerSpec) -> tuple[tuple[StageDiagnostic, ...], bool]:
         d, stage_chern, classes = _decide_stage(t, i, table)
         out.append(d)
         chern = chern and stage_chern
-        if i < t.height or __debug__ and d.passed:
-            table = _extend(table, t, d, classes)
+        if i < t.height:
+            table = extend_table(table, t.dims[: i - 1], classes)
     return tuple(out), chern
 
 
-def stage_diagnostics(t: TowerSpec, ring: CohomRing | None = None) -> tuple[StageDiagnostic, ...]:
+def stage_diagnostics(t: TowerSpec) -> tuple[StageDiagnostic, ...]:
     """For each stage, the first violated Chern identity or, when the
     stage passes, its generator candidate."""
     return _diagnose(t)[0]
@@ -351,8 +336,7 @@ def _step(t: TowerSpec, i: int, state, need: int | None):
     """The state of t's prefix of height i, from `state`, that of the
     prefix below it.  Stage i is decided on state's table, which is
     extended by the stage only when it will be read: when a stage follows
-    and flag `need` still holds, or, with `need` None, under __debug__
-    for the last stage's candidate check."""
+    and, with `need`, flag `need` still holds."""
     (q, z, chern), table = state
     if not q:
         return _FAILED
@@ -360,11 +344,8 @@ def _step(t: TowerSpec, i: int, state, need: int | None):
     if not d.passed:
         return _FAILED
     flags = (True, z and d.candidate.scale == 1, chern and stage_chern)
-    if need is None:
-        read = i < t.height or __debug__
-    else:
-        read = i < t.height and flags[need]
-    return flags, _extend(table, t, d, classes) if read else None
+    read = i < t.height and (need is None or flags[need])
+    return flags, extend_table(table, t.dims[: i - 1], classes) if read else None
 
 
 def _walk(t: TowerSpec, levels: list, need: int | None = None) -> tuple[bool, bool, bool]:
@@ -391,29 +372,29 @@ def _walk(t: TowerSpec, levels: list, need: int | None = None) -> tuple[bool, bo
 # -- deciders ----------------------------------------------------------------
 
 
-def is_q_trivial(t: TowerSpec, ring: CohomRing | None = None) -> bool:
+def is_q_trivial(t: TowerSpec) -> bool:
     """Rational triviality via the per-stage Chern identities."""
     return _walk(t, [_EMPTY], _Q)[_Q]
 
 
-def is_total_chern_trivial(t: TowerSpec, ring: CohomRing | None = None) -> bool:
+def is_total_chern_trivial(t: TowerSpec) -> bool:
     """True iff every c_k(xi_i), k >= 1, is zero in the ring."""
     return _walk(t, [_EMPTY], _CHERN)[_CHERN]
 
 
-def generator_candidates(t: TowerSpec, ring: CohomRing | None = None) -> tuple[GeneratorCandidate, ...]:
+def generator_candidates(t: TowerSpec) -> tuple[GeneratorCandidate, ...]:
     """The canonical degree-2 generators of a Q-trivial tower."""
     if not is_q_trivial(t):
         raise PreconditionError("generator_candidates requires a Q-trivial tower")
     return tuple(_candidate(t, i) for i in range(1, t.height + 1))
 
 
-def is_z_trivial(t: TowerSpec, ring: CohomRing | None = None) -> bool:
+def is_z_trivial(t: TowerSpec) -> bool:
     """Integral triviality: Q-trivial and every candidate scale r_i = 1."""
     return _walk(t, [_EMPTY], _Z)[_Z]
 
 
-def bott_q_trivial(t: TowerSpec, ring: CohomRing | None = None) -> bool:
+def bott_q_trivial(t: TowerSpec) -> bool:
     """For towers with every fiber a line (all n_i = 1): Q-triviality is
     equivalent to c_1(xi_i)^2 = 0 for every stage, the only identity
     `is_q_trivial` has to check on a stage with n = 1."""
@@ -425,7 +406,7 @@ def bott_q_trivial(t: TowerSpec, ring: CohomRing | None = None) -> bool:
 # -- decomposition -----------------------------------------------------------
 
 
-def decompose(t: TowerSpec, ring: CohomRing | None = None) -> Decomposition:
+def decompose(t: TowerSpec) -> Decomposition:
     """Reorder a Q-trivial tower so all n_i = 1 stages lead, in their
     original relative order, followed by the n_i > 1 stages in theirs.
 

@@ -2,7 +2,15 @@ import pathlib
 
 import pytest
 
-from gbott import StageSpec, TowerSpec, isosearch, product_tower
+from gbott import (
+    CohomRing,
+    Degree2Map,
+    StageSpec,
+    TowerSpec,
+    is_iso,
+    isosearch,
+    product_tower,
+)
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -10,6 +18,18 @@ DATA = pathlib.Path(__file__).parent / "data"
 def hirzebruch(a: int) -> TowerSpec:
     """Height-2 tower of lines with a single twist coefficient."""
     return TowerSpec((StageSpec(1), StageSpec(1, ((a,),))))
+
+
+def certify(t: TowerSpec, candidates) -> tuple[bool, bool]:
+    """Whether the matrix whose column i is stage i's candidate vector
+    maps the ring of the product of projective spaces with t's fiber
+    dimensions isomorphically onto t's ring, by `is_iso`: over Q, and
+    over Z.  For a Q-trivial t this is the paper's certificate: an
+    isomorphism over Q always, and over Z exactly when t is Z-trivial."""
+    columns = [tuple(c) for c in candidates]
+    M = Degree2Map([[col[r] for col in columns] for r in range(t.height)])
+    src, tgt = CohomRing(product_tower(t.dims)), CohomRing(t)
+    return is_iso(M, src, tgt), is_iso(M, src, tgt, over_integers=True)
 
 
 @pytest.fixture

@@ -134,6 +134,25 @@ def mult_table_lowest_first(t: TowerSpec) -> tuple:
     )
 
 
+def basis_order_table(ring: CohomRing) -> tuple:
+    """The ring's multiplication table in `basis_exponents()` order:
+    table[i][b] is X_(i+1) * x^basis[b] as sparse (basis index,
+    coefficient) pairs, read off `block_table()`, where index
+    sum_k e_k * prod_(j<k) (n_j+1) stands for x^e."""
+    index = {e: b for b, e in enumerate(ring.basis_exponents())}
+    block = [()]
+    for cap in ring.caps:  # block order: x_1 runs fastest
+        block = [e + (p,) for p in range(cap + 1) for e in block]
+    perm = [index[e] for e in block]
+    table = []
+    for rows in ring.block_table():
+        mapped = [None] * len(rows)
+        for b, row in enumerate(rows):
+            mapped[perm[b]] = tuple((perm[t], c) for t, c in row)
+        table.append(tuple(mapped))
+    return tuple(table)
+
+
 def relation_residues_reference(M, src: CohomRing, tgt: CohomRing) -> list[Polynomial]:
     """Images of the source relations under x_j -> column j of M, each
     expanded as a Polynomial product of the images of its linear factors
@@ -319,7 +338,7 @@ def search_iso_reference(
         return None
     h = src.nvars
     values = [0] + [v for a in range(1, bound + 1) for v in (a, -a)]
-    table = tgt.mult_table()
+    table = basis_order_table(tgt)
     columns: list[tuple] = []
 
     def relation_vanishes(j: int, col: tuple) -> bool:

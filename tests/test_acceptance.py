@@ -100,10 +100,9 @@ def test_criterion_3_wide_tower_equivalence(capsys):
     failures = 0
     for h in (1, 2, 3):
         for t in enumerate_towers(h, (2,), 2):
-            ring = CohomRing(t)
-            q = is_q_trivial(t, ring)
-            chern = is_total_chern_trivial(t, ring)
-            z = is_z_trivial(t, ring)
+            q = is_q_trivial(t)
+            chern = is_total_chern_trivial(t)
+            z = is_z_trivial(t)
             untwisted = all(
                 all(x == 0 for x in row) for s in t.stages for row in s.coeffs
             )

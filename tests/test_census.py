@@ -282,7 +282,7 @@ def test_enumerate_stdout_is_pinned(capsys, filters):
 
 def test_classify_builds_no_ring(monkeypatch):
     """Prefix tables are extended from the classes the decisions built,
-    with no CohomRing, also for the debug check of passing stages."""
+    with no CohomRing."""
     from gbott import cohomology
 
     towers = list(enumerate_towers(3, (1, 2), 1))

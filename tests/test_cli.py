@@ -11,6 +11,8 @@ import pytest
 import gbott
 from gbott.cli import main
 
+from conftest import certify
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -71,6 +73,19 @@ def test_report_json(capsys, data_dir):
     assert payload["stages"][1]["candidate"] == [3, 2]
     assert payload["stages"][1]["scale"] == 2
     assert payload["decomposition"]["bott_height"] == 2
+
+
+def test_report_json_candidates_certify_the_flags(capsys, data_dir):
+    """The stages' candidates, as columns, map the product ring onto the
+    tower's: over Q, and not over Z since the scale of stage 2 is 2."""
+    tower_file = path(data_dir, "hirzebruch_3.tower")
+    code, out, _ = run(capsys, "report", "--json", tower_file)
+    assert code == 0
+    payload = json.loads(out)
+    candidates = [stage["candidate"] for stage in payload["stages"]]
+    assert [[c[r] for c in candidates] for r in range(2)] == [[1, 3], [0, 2]]
+    t = gbott.load_tower(tower_file)
+    assert certify(t, candidates) == (True, payload["z_trivial"]) == (True, False)
 
 
 def test_report_product_all_trivial(capsys, data_dir):

@@ -1,11 +1,9 @@
 """Q/Z-triviality deciders, generator candidates, decomposition."""
 
+import ast
 import itertools
-import os
 import random
-import subprocess
-import sys
-import textwrap
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -33,7 +31,7 @@ from gbott import (
 from gbott.census import classify
 from gbott.errors import PreconditionError
 
-from conftest import hirzebruch
+from conftest import certify, hirzebruch
 from oracle_impls import (
     adjacent_swap_order,
     chern_identity_violation,
@@ -89,7 +87,7 @@ def test_table_decider_matches_normal_form_reference(t):
     from gbott import triviality
 
     ring = CohomRing(t)
-    table = ring.mult_table()
+    table = ring.block_table()
     for i, stage in enumerate(t.stages, start=1):
         k, chern, _ = triviality._first_violated_k(table, stage.coeffs)
         assert k == chern_identity_violation(t, i)
@@ -101,6 +99,9 @@ def test_table_decider_matches_normal_form_reference(t):
         sum(col) % (s.fiber_dim + 1) == 0 for s in t.stages for col in zip(*s.coeffs)
     )
     assert rep.z_trivial == (rep.q_trivial and divisible)
+    if rep.q_trivial:
+        candidates = [d.candidate.vector.coeffs for d in rep.per_stage]
+        assert certify(t, candidates) == (True, rep.z_trivial)
 
 
 @given(st.one_of(sparse_towers(), sparse_towers(max_dim=1)))
@@ -164,7 +165,7 @@ def test_candidate_powers_vanish_and_are_independent():
             continue
         found += 1
         ring = CohomRing(t)
-        cands = generator_candidates(t, ring)
+        cands = generator_candidates(t)
         for c, n in zip(cands, t.dims):
             assert ring.is_zero(c.vector.to_polynomial() ** (n + 1))
             assert not ring.is_zero(c.vector.to_polynomial() ** n)
@@ -335,6 +336,34 @@ def test_decompose_zero_blocks_and_swap_realization():
         assert permute(t, dec.permutation) == dec.reordered
 
 
+# Q-trivial towers of the acceptance censuses and of the benchmark census
+CERTIFIED_CENSUSES = {
+    (2, (1, 2, 3), 2): 161,
+    (2, (1, 2), 2): 32,
+    (1, (2,), 2): 1,
+    (2, (2,), 2): 1,
+    (3, (2,), 2): 1,
+    (3, (1, 2), 1): 208,
+    (3, (1, 2), 2): 1292,
+}
+
+
+@pytest.mark.parametrize("height, dims, bound", list(CERTIFIED_CENSUSES))
+def test_candidate_matrix_certifies_q_trivial_towers(height, dims, bound):
+    """On every Q-trivial tower of the census, the matrix whose columns
+    are the candidates of `full_report` maps the product ring onto the
+    tower's ring over Q, and over Z exactly when the tower is Z-trivial."""
+    checked = 0
+    for t, (q, _, _) in classify(enumerate_towers(height, dims, bound)):
+        if not q:
+            continue
+        rep = full_report(t)
+        candidates = [d.candidate.vector.coeffs for d in rep.per_stage]
+        assert certify(t, candidates) == (True, rep.z_trivial), t
+        checked += 1
+    assert checked == CERTIFIED_CENSUSES[height, dims, bound]
+
+
 def test_q_trivial_towers_are_bundles_over_q_trivial_bott_towers():
     """The paper's theorem on every Q-trivial tower of a census: the
     lines-first reordering has a Q-trivial Bott tower as its base, and
@@ -443,48 +472,36 @@ def test_is_q_trivial_never_builds_the_last_map(monkeypatch, qtwin_a):
     assert built == [1]
 
 
-def test_full_report_builds_the_last_map_only_for_the_debug_check(monkeypatch, qtwin_a):
+def test_full_report_never_builds_the_last_map(monkeypatch, qtwin_a):
     built = _record_extensions(monkeypatch)
     assert full_report(product_tower((1, 2, 1))).q_trivial
-    assert built == ([1, 2, 3] if __debug__ else [1, 2])
+    assert built == [1, 2]
     built.clear()
     assert not full_report(qtwin_a).q_trivial
     assert built == [1]
 
 
-def test_full_report_under_optimization():
-    """Under -O no debug check builds the last map, and the classifier
-    still gives every tower the flags of full_report."""
-    script = """
-        import sys
-        from gbott import full_report, product_tower, triviality
-        from gbott.census import classify, enumerate_towers
-
-        if __debug__:
-            sys.exit("not running under -O")
-        for t, flags in classify(enumerate_towers(3, (1, 2), 1)):
-            rep = full_report(t)
-            if flags != (rep.q_trivial, rep.z_trivial, rep.total_chern_trivial):
-                sys.exit(f"classify gives {flags} for {t}")
-        built = []
-        extend = triviality.extend_table
-
-        def recorded(*args):
-            table = extend(*args)
-            built.append(len(table))
-            return table
-
-        triviality.extend_table = recorded
-        full_report(product_tower((1, 2, 1)))
-        if built != [1, 2]:
-            sys.exit(f"full_report built tables {built}")
-    """
-    src_dir = str(Path(gbott.__file__).resolve().parent.parent)
-    proc = subprocess.run(
-        [sys.executable, "-O", "-c", textwrap.dedent(script)],
-        env={**os.environ, "PYTHONPATH": src_dir},
-        capture_output=True,
-        text=True,
-        timeout=120,
+def test_census_extends_only_the_tables_a_stage_reads(monkeypatch):
+    """The benchmark census extends one table per passing prefix that a
+    later stage reads, and its flag histogram is unchanged."""
+    built = _record_extensions(monkeypatch)
+    counts = Counter(
+        "".join("TF"[not f] for f in flags)
+        for _, flags in classify(enumerate_towers(3, (1, 2), 2))
     )
-    assert proc.returncode == 0, proc.stderr
+    assert len(built) == 66
+    assert counts == {"FFF": 37708, "TFF": 1096, "TTF": 148, "TTT": 48}
+
+
+def test_no_module_asserts_or_reads_debug():
+    """`python -O` runs the same code as the default: no module of the
+    package has an assert statement or names __debug__."""
+    package = Path(gbott.__file__).resolve().parent
+    found = []
+    for path in sorted(package.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Assert) or (
+                isinstance(node, ast.Name) and node.id == "__debug__"
+            ):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
