@@ -28,7 +28,10 @@ and its flags so far; no `CohomRing` is made.  A tower that shares a
 prefix with the tower before it pays only for the stages after that
 prefix; in the row-major order above that is usually its last stage
 alone, decided on the shared table.  A tower whose prefix already fails
-is not Q-trivial, Z-trivial or Chern-trivial, with no further work.
+is not Q-trivial, Z-trivial or Chern-trivial, with no further work, and
+a stage twisted over a wide stage fails with no ring arithmetic (see
+gbott.triviality).  So the 39 000 towers of height 3, dims {1, 2},
+twists in [-2, 2] take 4 098 ring decisions of a stage and 66 tables.
 The prefixes are compared stage by stage with each tower, so the flags
 do not depend on the order of the stream, and memory stays O(height).
 """

@@ -30,6 +30,24 @@ involve only x_1..x_(i-1), and the quotient by the first i-1 relations
 embeds in the whole ring, so stage i holds or fails already in the
 cohomology R_(i-1) of the height-(i-1) prefix tower.
 
+A stage twisted over a wide stage fails at k = 2 with no ring
+arithmetic.  Let stage i (n = n_i rows) have a non-zero entry in the
+column of a stage m < i with n_m >= 2, and let S and Q be the sum and
+the sum of squares of that column's entries.  The k = 1 identity always
+holds, and:
+
+  - x_m^2 is a basis monomial of R_(i-1), and no other product x_j x_l
+    reduces onto it: x_j^2 with n_j = 1 becomes -c_1(xi_j) x_j;
+  - so the x_m^2-coordinate of (n+1)^2 c_2 - binom(n+1,2) c_1^2 is
+    (n+1)/2 (S^2 - (n+1) Q);
+  - by Cauchy-Schwarz S^2 <= n Q < (n+1) Q, as Q > 0.
+
+`_decide_stage` applies this rule before any table is read;
+`_first_violated_k` stays the full ring decision, and the tests check
+both against the normal-form reference on every stage.  The rule is the
+paper's theorem seen stage by stage: no stage of a Q-trivial tower is
+twisted over a wide stage.
+
 The deciders and `gbott.census` walk a tower's prefixes in order
 (`_walk`), one step per stage (`_step`).  A prefix's state is its flags
 so far (Q-, Z-, Chern-trivial) and its ring's table; the step decides
@@ -51,7 +69,11 @@ in the tests as the independent reference.
 Every Q-trivial tower can be reordered, by conjugating with an
 admissible permutation, so that all n_i = 1 stages come first and no
 stage is twisted over a stage with fiber dimension > 1; `decompose`
-produces that form.
+produces that form.  On a tower with no stage twisted over a wide stage
+the lines-first order is admissible and leaves nothing twisted over a
+wide stage, so `_reorder`'s two consistency checks cannot fail on a
+tower that the rule above lets pass.  The walk therefore does not
+decompose; `full_report` and `decompose` still do, with both checks.
 """
 
 from __future__ import annotations
@@ -287,14 +309,25 @@ def _candidate(t: TowerSpec, stage: int) -> GeneratorCandidate:
     )
 
 
+def _twisted_over_wide(t: TowerSpec, rows) -> bool:
+    """Whether `rows`, a stage's twist rows, have a non-zero entry in the
+    column of a stage with fiber dimension > 1."""
+    return any(s.fiber_dim > 1 and any(col) for s, col in zip(t.stages, zip(*rows)))
+
+
 def _decide_stage(
     t: TowerSpec, stage: int, table
-) -> tuple[StageDiagnostic, bool, list[dict]]:
+) -> tuple[StageDiagnostic, bool, list[dict] | None]:
     """Stage `stage` of t decided on `table`, the multiplication table of
     a ring whose first generators are x_1..x_(stage-1): its diagnostic,
-    whether its Chern classes all vanish, and the classes themselves."""
-    k, chern, classes = _first_violated_k(table, t.stages[stage - 1].coeffs)
-    n = t.dims[stage - 1]
+    whether its Chern classes all vanish, and the classes themselves,
+    or None for a stage twisted over a wide stage, which fails at k = 2
+    with no ring arithmetic."""
+    rows = t.stages[stage - 1].coeffs
+    n = len(rows)
+    if _twisted_over_wide(t, rows):
+        return StageDiagnostic(stage=stage, fiber_dim=n, violated_k=2), False, None
+    k, chern, classes = _first_violated_k(table, rows)
     if k is not None:
         return StageDiagnostic(stage=stage, fiber_dim=n, violated_k=k), False, classes
     d = StageDiagnostic(stage=stage, fiber_dim=n, candidate=_candidate(t, stage))
@@ -304,7 +337,9 @@ def _decide_stage(
 def _diagnose(t: TowerSpec) -> tuple[tuple[StageDiagnostic, ...], bool]:
     """Every stage decided once, stage i on the table of the height-(i-1)
     prefix, failing stages included: the diagnostics, and whether every
-    Chern class vanishes.  The last generator's map is never built."""
+    Chern class vanishes.  The last generator's map is never built, and
+    a stage twisted over a wide stage has its classes computed only to
+    extend the table."""
     out = []
     chern = True
     table = ()
@@ -313,6 +348,8 @@ def _diagnose(t: TowerSpec) -> tuple[tuple[StageDiagnostic, ...], bool]:
         out.append(d)
         chern = chern and stage_chern
         if i < t.height:
+            if classes is None:
+                classes = stage_classes(table, t.stages[i - 1].coeffs)
             table = extend_table(table, t.dims[: i - 1], classes)
     return tuple(out), chern
 
@@ -354,7 +391,9 @@ def _walk(t: TowerSpec, levels: list, need: int | None = None) -> tuple[bool, bo
     prefix of height j for each j < len(levels), levels[0] being _EMPTY;
     the walk appends the states up to height h-1.  With `need` it stops
     at the first stage that makes that flag false; without, it gives all
-    three flags, checked as `full_report` checks them."""
+    three flags, checked against each other as `full_report` checks
+    them.  It does not decompose: a tower it finds Q-trivial has no stage
+    twisted over a wide stage, so `_reorder` could not fail on it."""
     h = t.height
     while len(levels) < h:
         state = _step(t, len(levels), levels[-1], need)
@@ -364,8 +403,6 @@ def _walk(t: TowerSpec, levels: list, need: int | None = None) -> tuple[bool, bo
     flags = _step(t, h, levels[h - 1], need)[0] if h else _EMPTY[0]
     if need is None:
         _check_flags(*flags)
-        if flags[_Q]:
-            _reorder(t)  # raises if the Q-trivial tower resists the decomposition
     return flags
 
 

@@ -20,6 +20,16 @@ def hirzebruch(a: int) -> TowerSpec:
     return TowerSpec((StageSpec(1), StageSpec(1, ((a,),))))
 
 
+def twisted_over_wide(t: TowerSpec, i: int) -> bool:
+    """Whether stage i of t has a non-zero twist entry in the column of a
+    stage with fiber dimension > 1: then its k = 2 Chern identity fails."""
+    return any(
+        t.dims[k - 1] > 1 and t.coefficient(i, j, k) != 0
+        for j in range(1, t.dims[i - 1] + 1)
+        for k in range(1, i)
+    )
+
+
 def certify(t: TowerSpec, candidates) -> tuple[bool, bool]:
     """Whether the matrix whose column i is stage i's candidate vector
     maps the ring of the product of projective spaces with t's fiber

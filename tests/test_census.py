@@ -22,6 +22,7 @@ from gbott.cli import main
 from gbott.errors import GbottError
 from gbott.tower import matrix_line
 
+from conftest import twisted_over_wide
 from test_tower import towers
 from oracle_impls import enumerate_towers_flat, matrix_line_via_transpose
 
@@ -194,7 +195,8 @@ def test_classify_height_zero_tower():
 
 def test_classify_decides_each_prefix_once(monkeypatch):
     """One decision per run of equal prefixes at each level, and one
-    last-stage decision per tower whose prefix passes."""
+    last-stage decision per tower whose prefix passes; a stage twisted
+    over a wide stage fails with no ring decision."""
     from gbott import triviality
 
     calls = [0]
@@ -205,26 +207,30 @@ def test_classify_decides_each_prefix_once(monkeypatch):
         return check(table, rows)
 
     towers = list(enumerate_towers(3, (1, 2), 1))
-    runs = {
-        j: sum(
-            1
+    starts = {
+        j: [
+            b
             for a, b in zip([None] + towers, towers)
             if a is None or a.stages[:j] != b.stages[:j]
-        )
+        ]
         for j in (1, 2)
     }
+    runs = {j: sum(1 for t in starts[j] if not twisted_over_wide(t, j)) for j in (1, 2)}
     passing = {}
     for t in towers:
         prefix = t.stages[:2]
         if prefix not in passing:
             passing[prefix] = full_report(TowerSpec(prefix)).q_trivial
-    under_passing = sum(1 for t in towers if passing[t.stages[:2]])
-    assert (runs[1], runs[2], under_passing) == (2, 48, 1260)
+    under_passing = sum(
+        1 for t in towers if passing[t.stages[:2]] and not twisted_over_wide(t, 3)
+    )
+    assert (len(starts[1]), len(starts[2])) == (2, 48)
+    assert (runs[1], runs[2], under_passing) == (2, 28, 392)
 
     monkeypatch.setattr(triviality, "_first_violated_k", counted)
     for _ in classify(towers):
         pass
-    assert calls[0] == runs[1] + runs[2] + under_passing == 1310
+    assert calls[0] == runs[1] + runs[2] + under_passing == 422
 
 
 def _enumerate(capsys, *extra):

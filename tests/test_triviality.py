@@ -2,6 +2,7 @@
 
 import ast
 import itertools
+import math
 import random
 from collections import Counter
 from pathlib import Path
@@ -27,11 +28,13 @@ from gbott import (
     is_z_trivial,
     permute,
     product_tower,
+    stage_diagnostics,
 )
 from gbott.census import classify
 from gbott.errors import PreconditionError
+from gbott.triviality import Degree2Class, GeneratorCandidate, StageDiagnostic
 
-from conftest import certify, hirzebruch
+from conftest import certify, hirzebruch, twisted_over_wide
 from oracle_impls import (
     adjacent_swap_order,
     chern_identity_violation,
@@ -81,6 +84,32 @@ def sparse_towers(draw, max_height=4, max_dim=3, bound=3):
     return TowerSpec(tuple(stages))
 
 
+def _reference_diagnostic(t, i):
+    """Stage i's diagnostic from the normal-form reference: its first
+    violated Chern identity, or its candidate, the primitive vector on
+    the line of (n+1) x_i + c_1(xi_i) with c_1 read off the Chern class."""
+    n = t.dims[i - 1]
+    k = chern_identity_violation(t, i)
+    if k is not None:
+        return StageDiagnostic(stage=i, fiber_dim=n, violated_k=k)
+    line = [int(b) for b in stage_chern_classes(t, i)[1].linear_coefficients()]
+    line[i - 1] += n + 1
+    g = math.gcd(*line)
+    candidate = GeneratorCandidate(i, (n + 1) // g, Degree2Class(b // g for b in line))
+    return StageDiagnostic(stage=i, fiber_dim=n, candidate=candidate)
+
+
+def _check_against_reference(t) -> int:
+    """Assert that t's stage diagnostics equal the reference's, and that
+    every stage twisted over a wide stage fails at k = 2 there; return
+    the number of such stages."""
+    reference = tuple(_reference_diagnostic(t, i) for i in range(1, t.height + 1))
+    assert stage_diagnostics(t) == reference, t
+    wide = [d for d in reference if twisted_over_wide(t, d.stage)]
+    assert all(d.violated_k == 2 for d in wide), t
+    return len(wide)
+
+
 @given(sparse_towers())
 @settings(max_examples=80, deadline=None)
 def test_table_decider_matches_normal_form_reference(t):
@@ -92,6 +121,7 @@ def test_table_decider_matches_normal_form_reference(t):
         k, chern, _ = triviality._first_violated_k(table, stage.coeffs)
         assert k == chern_identity_violation(t, i)
         assert chern == all(ring.is_zero(c) for c in stage_chern_classes(t, i)[1:])
+    _check_against_reference(t)
     rep = full_report(t)
     assert rep.total_chern_trivial == total_chern_trivial_reference(t)
     assert rep.q_trivial == q_trivial_line_oracle(t)
@@ -113,6 +143,20 @@ def test_every_entry_point_agrees_with_full_report(t):
     assert list(classify([t])) == [(t, flags)]
     if all(n == 1 for n in t.dims):
         assert bott_q_trivial(t) == rep.q_trivial
+
+
+@pytest.mark.parametrize(
+    "height, dims, bound, wide",
+    [(2, (1, 2, 3), 1, 72), (3, (1, 2), 1, 2628), (2, (2, 3, 4), 1, 342)],
+)
+def test_stages_twisted_over_a_wide_stage_fail_at_k2(height, dims, bound, wide):
+    """On every stage of these censuses the diagnostics equal the
+    normal-form reference, and each stage with a non-zero entry in the
+    column of a wide stage fails its k = 2 identity there."""
+    found = sum(
+        _check_against_reference(t) for t in enumerate_towers(height, dims, bound)
+    )
+    assert found == wide
 
 
 # -- total Chern triviality -------------------------------------------------------
@@ -415,24 +459,59 @@ def test_full_report_twisted_line_tower():
     assert data["stages"][1]["scale"] == 2
 
 
+def _record_ring_decisions(monkeypatch) -> list[int]:
+    """The stage of each `_first_violated_k` call the deciders make."""
+    from gbott import triviality
+
+    decided = []
+    check = triviality._first_violated_k
+
+    def recorded(table, rows):
+        decided.append(len(rows[0]) + 1)  # stage i's rows have i-1 entries
+        return check(table, rows)
+
+    monkeypatch.setattr(triviality, "_first_violated_k", recorded)
+    return decided
+
+
 def test_full_report_checks_each_stage_once(monkeypatch):
     """A Q-trivial tower's stages are decided once each: neither the
     total-Chern flag nor the decomposition decides a stage again."""
-    from gbott import triviality
-
-    calls = []
-    check = triviality._first_violated_k
-
-    def counted(table, rows):
-        calls.append(len(rows[0]) + 1)  # stage i's rows have i-1 entries
-        return check(table, rows)
-
-    monkeypatch.setattr(triviality, "_first_violated_k", counted)
+    calls = _record_ring_decisions(monkeypatch)
     t = TowerSpec((StageSpec(1), StageSpec(2, ((0,), (0,))), StageSpec(1, ((2, 0),))))
     rep = full_report(t)
     assert rep.q_trivial
     assert calls == [1, 2, 3]
     assert rep.decomposition == decompose(t)
+
+
+def test_only_full_report_and_decompose_reorder(monkeypatch):
+    """The walk never decomposes: classify and the single-flag deciders
+    make no `_reorder` call, full_report and decompose one per Q-trivial
+    tower, so the census-wide check of `_reorder`'s consistency is
+    `test_classify_matches_full_report`."""
+    from gbott import triviality
+
+    calls = [0]
+    reorder = triviality._reorder
+
+    def counted(t):
+        calls[0] += 1
+        return reorder(t)
+
+    monkeypatch.setattr(triviality, "_reorder", counted)
+    towers = list(enumerate_towers(3, (1, 2), 1))
+    flags = [f for _, f in classify(towers)]
+    for t in towers:
+        is_q_trivial(t), is_z_trivial(t), is_total_chern_trivial(t)
+    assert calls[0] == 0
+    q_trivial = [t for t, (q, _, _) in zip(towers, flags) if q]
+    assert len(q_trivial) == 208
+    assert [full_report(t).q_trivial for t in towers] == [q for q, _, _ in flags]
+    assert calls[0] == 208
+    for t in q_trivial:
+        decompose(t)
+    assert calls[0] == 2 * 208
 
 
 def _record_extensions(monkeypatch) -> list[int]:
@@ -481,14 +560,32 @@ def test_full_report_never_builds_the_last_map(monkeypatch, qtwin_a):
     assert built == [1]
 
 
+def test_full_report_on_a_tower_twisted_over_a_wide_stage(monkeypatch):
+    """Stage 2, a line twisted over CP^2, fails at k = 2 with no ring
+    decision; its classes still extend the table that stage 3, decided
+    on the ring, reads."""
+    decided = _record_ring_decisions(monkeypatch)
+    built = _record_extensions(monkeypatch)
+    t = TowerSpec((StageSpec(2), StageSpec(1, ((1,),)), StageSpec(1, ((0, 1),))))
+    rep = full_report(t)
+    assert rep.per_stage[1].violated_k == 2
+    assert decided == [1, 3]
+    assert built == [1, 2]
+    assert rep.per_stage[2] == _reference_diagnostic(t, 3)
+    assert not rep.q_trivial and rep.decomposition is None
+
+
 def test_census_extends_only_the_tables_a_stage_reads(monkeypatch):
     """The benchmark census extends one table per passing prefix that a
-    later stage reads, and its flag histogram is unchanged."""
+    later stage reads, decides on the ring only the stages not twisted
+    over a wide stage, and its flag histogram is unchanged."""
+    decided = _record_ring_decisions(monkeypatch)
     built = _record_extensions(monkeypatch)
     counts = Counter(
         "".join("TF"[not f] for f in flags)
         for _, flags in classify(enumerate_towers(3, (1, 2), 2))
     )
+    assert len(decided) == 4098
     assert len(built) == 66
     assert counts == {"FFF": 37708, "TFF": 1096, "TTF": 148, "TTT": 48}
 
