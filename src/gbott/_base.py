@@ -1,5 +1,6 @@
 """Definitions shared across gbott that import nothing: the read-only
-base of gbott's value types, and the census filter keys.
+base of gbott's value types, the census filter keys, and the grammar
+of a generator name.
 
 `Frozen` is the base of the value types (`StageSpec`, `TowerSpec`,
 `Permutation`, `ChernData`, `Degree2Map`, the `triviality` results and
@@ -21,6 +22,10 @@ no gbott module imports `dataclasses`, which costs more than a short
 
 FILTER_KEYS = ("q", "z", "chern")
 """The flags `gbott enumerate --filter` selects on, in report order."""
+
+GENERATOR_NAME = "[A-Za-z][A-Za-z0-9_]*"
+"""The regular expression of a generator name: one name token of the
+polynomial text form (`gbott.poly`), so that printed text reads back."""
 
 _set = object.__setattr__
 

@@ -22,10 +22,11 @@ from __future__ import annotations
 import argparse
 import itertools
 import os
+import re
 import sys
 
 from . import __version__
-from ._base import FILTER_KEYS
+from ._base import FILTER_KEYS, GENERATOR_NAME
 from .errors import GbottError, PreconditionError
 
 EXIT_OK = 0
@@ -60,6 +61,14 @@ def _names(t, raw: str | None) -> tuple[str, ...]:
 
         return default_names(t.height)
     names = tuple(n.strip() for n in raw.split(",") if n.strip())
+    for i, name in enumerate(names):
+        if not re.fullmatch(GENERATOR_NAME, name):
+            raise GbottError(
+                f"--names entry {name!r} is not a generator name"
+                " (a letter, then letters, digits or _)"
+            )
+        if name in names[:i]:
+            raise GbottError(f"--names entry {name!r} is given twice")
     if len(names) != t.height:
         raise GbottError(
             f"--names gives {len(names)} names for a height-{t.height} tower"
@@ -245,7 +254,8 @@ def build_parser() -> argparse.ArgumentParser:
     def add_names(p):
         p.add_argument(
             "--names",
-            help="comma-separated generator names (default x1,x2,...)",
+            help="comma-separated generator names, distinct, each a letter "
+            "then letters, digits or _ (default x1,x2,...)",
         )
 
     p = sub.add_parser("report", help="full analysis of one tower")

@@ -25,9 +25,9 @@ rewritten.  The extension numbers the basis in block order, index
 p * rank(R_(i-1)) + b for x_i^p times R_(i-1)'s basis monomial b.
 `CohomRing.block_table` folds it over the stages.  Index 0 is the unit,
 and whether a product is zero, or two vectors equal, does not depend on
-how the basis is numbered; so the search, the deciders and the census
-all work on block-order tables (of a tower's prefixes, for the
-deciders), and no basis-order table is ever built.
+how the basis is numbered; so the search and the ring decisions of
+`triviality.full_report` work on block-order tables (of a tower's
+prefix, for the latter), and no basis-order table is ever built.
 
 A product of linear forms, such as the image of a relation under a
 degree-2 map or a stage's Chern class, is computed by applying one map

@@ -23,6 +23,7 @@ from fractions import Fraction
 from types import MappingProxyType
 
 from . import _kernel_py as _k
+from ._base import GENERATOR_NAME
 from .errors import DimensionMismatch, PolynomialSyntaxError
 
 Coefficient = int | Fraction
@@ -277,7 +278,7 @@ def _coeff_str(c: Coefficient) -> str:
 
 
 _TOKEN = re.compile(
-    r"\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z][A-Za-z0-9_]*)|(?P<op>[-+*/^]))"
+    rf"\s*(?:(?P<int>\d+)|(?P<name>{GENERATOR_NAME})|(?P<op>[-+*/^]))"
 )
 
 

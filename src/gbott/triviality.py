@@ -19,22 +19,22 @@ holds exactly when every r_i = 1 (equivalently n_i+1 divides every
 coefficient of c_1(xi_i)): then the transition from x to z is triangular
 with unit diagonal, hence unimodular, and the z_i present the product
 ring.  This divisibility criterion is cross-checked against the
-brute-force search in gbott.isosearch by the test suite.
+brute-force search in gbott.isosearch by the test suite.  The candidate
+and its scale come in closed form from the column sums of the rows, and
+a stage that passes has every Chern class zero exactly when those sums
+are all zero.
 
-Each stage is decided once, on a multiplication table: c_0..c_n are
-sparse basis vectors built as elementary symmetric functions of the
-rows' linear forms, one table map per row, and c_1^k is one more
-application of the map for c_1 per k.  The candidate and its scale come
-in closed form from the column sums of the rows.  Stage i's classes
-involve only x_1..x_(i-1), and the quotient by the first i-1 relations
-embeds in the whole ring, so stage i holds or fails already in the
-cohomology R_(i-1) of the height-(i-1) prefix tower.
+Stage i's classes involve only x_1..x_(i-1), and the quotient by the
+first i-1 relations embeds in the whole ring, so stage i holds or fails
+already in the cohomology R_(i-1) of the height-(i-1) prefix tower.
+Over a Q-trivial prefix the identities come down to integer identities
+in the stage's rows (`_closed_form_k`).  Let the rows be alpha_1..
+alpha_n, put alpha_0 = 0, and let k = 1 hold, as it always does.
 
-A stage twisted over a wide stage fails at k = 2 with no ring
-arithmetic.  Let stage i (n = n_i rows) have a non-zero entry in the
-column of a stage m < i with n_m >= 2, and let S and Q be the sum and
-the sum of squares of that column's entries.  The k = 1 identity always
-holds, and:
+A stage twisted over a wide stage fails at k = 2, over any prefix.  Let
+stage i have a non-zero entry in the column of a stage m < i with
+n_m >= 2, and let S and Q be the sum and the sum of squares of that
+column's entries.  Then:
 
   - x_m^2 is a basis monomial of R_(i-1), and no other product x_j x_l
     reduces onto it: x_j^2 with n_j = 1 becomes -c_1(xi_j) x_j;
@@ -42,29 +42,50 @@ holds, and:
     (n+1)/2 (S^2 - (n+1) Q);
   - by Cauchy-Schwarz S^2 <= n Q < (n+1) Q, as Q > 0.
 
-`_decide_stage` applies this rule before any table is read;
-`_first_violated_k` stays the full ring decision, and the tests check
-both against the normal-form reference on every stage.  The rule is the
-paper's theorem seen stage by stage: no stage of a Q-trivial tower is
-twisted over a wide stage.
+Otherwise every alpha_r lies in the span of the generators x_l of the
+line stages l < i (n_l = 1), the set L.  In a Q-trivial prefix no stage
+is twisted over a wide stage, so c_1(xi_l) lies in that span too, and
+w_l = 2 x_l + c_1(xi_l) squares to c_1(xi_l)^2 = 0, stage l's k = 2
+identity.  The line generators span a subring with basis the 2^|L|
+square-free products x_T (x_l^2 = -c_1(xi_l) x_l stays in it), and the
+w_S span it too, so the w_S are a basis.  Let beta_r = alpha_r - (alpha_0
++ ... + alpha_n)/(n+1), with coordinates b_rl in the w_l.  The
+identities say prod_r (1 + alpha_r) = (1 + c_1/(n+1))^(n+1), that is,
+e_k(beta) = 0 degree by degree, and the first k where one fails is the
+first where e_k(beta) != 0.  By Newton's identities that is the first k
+with p_k(beta) != 0, and
+
+    p_k(beta) = sum_r (sum_l b_rl w_l)^k
+              = k! sum_{|S| = k} (sum_r prod_{l in S} b_rl) w_S.
+
+So stage i first fails at the smallest k in 2..n+1 for which some k-set
+S of line stages has sum_{r=0..n} prod_{l in S} b_rl != 0, and passes if
+there is none.  Scaling every b_rl by one factor does not change which
+sums vanish, so `_closed_form_k` works with (n+1) beta_r and rewrites
+them in the w_l by back substitution from the top line down, x_l =
+(w_l - c_1(xi_l))/2, on coordinates scaled by 2^|L|: every division
+by 2 is then exact, and no fraction is made.
 
 The deciders and `gbott.census` walk a tower's prefixes in order
-(`_walk`), one step per stage (`_step`).  A prefix's state is its flags
-so far (Q-, Z-, Chern-trivial) and its ring's table; the step decides
-stage i on the state of the height-(i-1) prefix and extends that table
-by the stage's own classes (`cohomology.extend_table`) only when a later
-stage will read it.  So the last generator's map is never built, and
-`is_q_trivial`, `is_z_trivial` and `is_total_chern_trivial` each stop at
-the first stage that settles their answer, building no table above it;
-`gbott.census` keeps each prefix's state for the many towers above it.
-`full_report` decides every stage, also above a failing one, since it
-reports each stage's diagnostic.  No walk builds a table that no stage
-reads, and `python -O` runs the same code.  The tests certify every
-Q-trivial tower of their censuses: the matrix whose column i is z_i is
-checked with `isosearch.is_iso`, a Q-isomorphism from the product ring
-onto the tower's, and a Z-isomorphism exactly when the tower is
-Z-trivial.  The normal-form computation of the same identities is kept
-in the tests as the independent reference.
+(`_walk`), one step per stage (`_step`).  A prefix's state is its three
+flags so far (Q-, Z-, Chern-trivial); the step decides stage i in closed
+form when the prefix below it is Q-trivial, and is a constant when it
+is not.  So no walk builds a ring or a table, and `gbott.census` keeps
+the flags of each prefix for the many towers above it.  `full_report`
+decides every stage, also above a failing one, since it reports each
+stage's diagnostic: up to the first failing stage in closed form, and
+above it, where the prefix is not Q-trivial and the closed form does
+not apply, on the ring (`_first_violated_k`), all such stages on the
+one table of the height-(h-1) prefix, in which each R_(i-1) embeds.
+`_first_violated_k` is the full ring decision: c_0..c_n as elementary
+symmetric functions of the rows' linear forms, one table map per row,
+and c_1^k one more application of the map for c_1 per k.  The tests
+check the closed form against it, and both against the normal-form
+computation of the same identities, on every stage of their censuses.
+They also certify every Q-trivial tower: the matrix whose column i is
+z_i is checked with `isosearch.is_iso`, a Q-isomorphism from the
+product ring onto the tower's, and a Z-isomorphism exactly when the
+tower is Z-trivial.  `python -O` runs the same code.
 
 Every Q-trivial tower can be reordered, by conjugating with an
 admissible permutation, so that all n_i = 1 stages come first and no
@@ -78,10 +99,10 @@ decompose; `full_report` and `decompose` still do, with both checks.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 from ._base import Frozen, _set
-from .cohomology import extend_table, stage_classes, times_form
 from .errors import (
     InadmissiblePermutation,
     InternalConsistencyError,
@@ -264,23 +285,20 @@ def _yn(flag: bool) -> str:
 # -- per-stage analysis ------------------------------------------------------
 
 
-def _first_violated_k(table, rows) -> tuple[int | None, bool, list[dict]]:
-    """Decide the stage whose twist rows are `rows` (n rows of i-1
-    entries) in any ring whose first generators are x_1..x_(i-1), given
-    by its multiplication table in block order (`CohomRing.block_table`,
-    or a prefix table from `extend_table`).
+def _first_violated_k(table, rows) -> int | None:
+    """Decide on the ring the stage whose twist rows are `rows` (n rows
+    of i-1 entries), in any ring whose first generators are
+    x_1..x_(i-1), given by its multiplication table in block order
+    (`CohomRing.block_table`): the smallest k in 1..n+1 where
+    (n+1)^k c_k != binom(n+1,k) c_1^k, or None if every identity holds.
 
-    Returns (k, chern, classes): k is the smallest k in 1..n+1 where
-    (n+1)^k c_k != binom(n+1,k) c_1^k, or None if every identity holds;
-    chern is True iff every c_k, k >= 1, is zero; classes are c_0..c_n
-    as sparse basis vectors (`cohomology.stage_classes`), from which
-    the caller may extend the table by the stage.  A stage whose
-    classes all vanish passes every identity, so chern implies k is
-    None.
-
-    c_1 is the form of the rows' column sums, and c_1^k one more
-    multiplication by it per k.  The k = 1 identity holds trivially.
+    The classes c_0..c_n are sparse basis vectors
+    (`cohomology.stage_classes`), c_1 is the form of the rows' column
+    sums, and c_1^k one more multiplication by it per k.  The k = 1
+    identity holds trivially.
     """
+    from .cohomology import stage_classes, times_form
+
     classes = stage_classes(table, rows)
     n = len(rows)
     c1_form = [sum(col) for col in zip(*rows)]
@@ -289,11 +307,42 @@ def _first_violated_k(table, rows) -> tuple[int | None, bool, list[dict]]:
         power = times_form(table, power, c1_form)
         ck = classes[k] if k <= n else {}
         a, b = (n + 1) ** k, math.comb(n + 1, k)
-        if ck.keys() != power.keys() or any(
-            a * c != b * power[m] for m, c in ck.items()
-        ):
-            return k, False, classes
-    return None, not any(classes[1:]), classes
+        if {m: a * c for m, c in ck.items()} != {m: b * c for m, c in power.items()}:
+            return k
+    return None
+
+
+def _closed_form_k(t: TowerSpec, i: int) -> int | None:
+    """`_first_violated_k` of stage i of t, whose height-(i-1) prefix is
+    Q-trivial, in integer arithmetic with no ring (see the module
+    docstring): k = 2 for a stage twisted over a wide stage; otherwise
+    the least k for which some k-set S of line stages has a non-zero
+    sum over r of prod_{l in S} b_rl."""
+    stages = t.stages
+    rows = stages[i - 1].coeffs
+    cols = list(zip(*rows))
+    lines = []  # the line stages below i, 0-based
+    for l, (stage, col) in enumerate(zip(stages, cols)):
+        if stage.fiber_dim == 1:
+            lines.append(l)
+        elif any(col):
+            return 2
+    n1, m = len(rows) + 1, len(lines)
+    sums = [sum(col) for col in cols]
+    coords = []  # per r = 0..n, the w-coordinates of 2^m (n+1) beta_r
+    for row in ((0,) * (i - 1),) + rows:
+        v = [(n1 * a - s) << m for a, s in zip(row, sums)]
+        for l in reversed(lines):
+            e = v[l] = v[l] // 2
+            if e:
+                for j, a in enumerate(stages[l].coeffs[0]):
+                    v[j] -= a * e
+        coords.append([v[l] for l in lines])
+    for k in range(2, min(n1, m) + 1):
+        for s in itertools.combinations(range(m), k):
+            if sum(math.prod(b[l] for l in s) for b in coords):
+                return k
+    return None
 
 
 def _candidate(t: TowerSpec, stage: int) -> GeneratorCandidate:
@@ -303,54 +352,30 @@ def _candidate(t: TowerSpec, stage: int) -> GeneratorCandidate:
     n = len(rows)
     vec = [sum(col) for col in zip(*rows)] + [n + 1] + [0] * (t.height - stage)
     g = math.gcd(*vec)
-    prim = tuple(b // g for b in vec)
-    return GeneratorCandidate(
-        stage=stage, scale=(n + 1) // g, vector=Degree2Class(prim)
-    )
-
-
-def _twisted_over_wide(t: TowerSpec, rows) -> bool:
-    """Whether `rows`, a stage's twist rows, have a non-zero entry in the
-    column of a stage with fiber dimension > 1."""
-    return any(s.fiber_dim > 1 and any(col) for s, col in zip(t.stages, zip(*rows)))
-
-
-def _decide_stage(
-    t: TowerSpec, stage: int, table
-) -> tuple[StageDiagnostic, bool, list[dict] | None]:
-    """Stage `stage` of t decided on `table`, the multiplication table of
-    a ring whose first generators are x_1..x_(stage-1): its diagnostic,
-    whether its Chern classes all vanish, and the classes themselves,
-    or None for a stage twisted over a wide stage, which fails at k = 2
-    with no ring arithmetic."""
-    rows = t.stages[stage - 1].coeffs
-    n = len(rows)
-    if _twisted_over_wide(t, rows):
-        return StageDiagnostic(stage=stage, fiber_dim=n, violated_k=2), False, None
-    k, chern, classes = _first_violated_k(table, rows)
-    if k is not None:
-        return StageDiagnostic(stage=stage, fiber_dim=n, violated_k=k), False, classes
-    d = StageDiagnostic(stage=stage, fiber_dim=n, candidate=_candidate(t, stage))
-    return d, chern, classes
+    return GeneratorCandidate(stage, (n + 1) // g, Degree2Class(b // g for b in vec))
 
 
 def _diagnose(t: TowerSpec) -> tuple[tuple[StageDiagnostic, ...], bool]:
-    """Every stage decided once, stage i on the table of the height-(i-1)
-    prefix, failing stages included: the diagnostics, and whether every
-    Chern class vanishes.  The last generator's map is never built, and
-    a stage twisted over a wide stage has its classes computed only to
-    extend the table."""
+    """Every stage decided once, failing stages included: the diagnostics,
+    and whether every Chern class vanishes.  Up to the first failing
+    stage the prefix is Q-trivial and the stage is decided in closed
+    form; above it, on the one table of the height-(h-1) prefix."""
     out = []
-    chern = True
-    table = ()
-    for i in range(1, t.height + 1):
-        d, stage_chern, classes = _decide_stage(t, i, table)
-        out.append(d)
-        chern = chern and stage_chern
-        if i < t.height:
-            if classes is None:
-                classes = stage_classes(table, t.stages[i - 1].coeffs)
-            table = extend_table(table, t.dims[: i - 1], classes)
+    q = chern = True
+    table = None
+    for i, stage in enumerate(t.stages, start=1):
+        if not q and table is None:
+            from .cohomology import CohomRing
+
+            table = CohomRing(TowerSpec(t.stages[:-1])).block_table()
+        k = _closed_form_k(t, i) if q else _first_violated_k(table, stage.coeffs)
+        if k is None:
+            candidate = _candidate(t, i)
+            out.append(StageDiagnostic(i, stage.fiber_dim, candidate=candidate))
+            chern = chern and not any(candidate.vector.coeffs[: i - 1])
+        else:
+            out.append(StageDiagnostic(i, stage.fiber_dim, violated_k=k))
+            q = chern = False
     return tuple(out), chern
 
 
@@ -362,47 +387,35 @@ def stage_diagnostics(t: TowerSpec) -> tuple[StageDiagnostic, ...]:
 
 # -- prefix walk -------------------------------------------------------------
 
-# A prefix's state is ((q, z, chern), table): its flags so far, and its
-# ring's table, or None where nothing will read it.
+# A prefix's state is its flags so far, (q, z, chern).
 _Q, _Z, _CHERN = range(3)
-_EMPTY = ((True, True, True), ())  # height 0: stage 1 has no rows, so reads no map
-_FAILED = ((False, False, False), None)
+_EMPTY = (True, True, True)  # height 0
+_FAILED = (False, False, False)
 
 
-def _step(t: TowerSpec, i: int, state, need: int | None):
-    """The state of t's prefix of height i, from `state`, that of the
-    prefix below it.  Stage i is decided on state's table, which is
-    extended by the stage only when it will be read: when a stage follows
-    and, with `need`, flag `need` still holds."""
-    (q, z, chern), table = state
-    if not q:
+def _step(t: TowerSpec, i: int, flags) -> tuple[bool, bool, bool]:
+    """The flags of t's prefix of height i, from `flags`, those of the
+    prefix below it: stage i is decided in closed form when that prefix
+    is Q-trivial, and not at all when it is not."""
+    q, z, chern = flags
+    if not q or _closed_form_k(t, i) is not None:
         return _FAILED
-    d, stage_chern, classes = _decide_stage(t, i, table)
-    if not d.passed:
-        return _FAILED
-    flags = (True, z and d.candidate.scale == 1, chern and stage_chern)
-    read = i < t.height and (need is None or flags[need])
-    return flags, extend_table(table, t.dims[: i - 1], classes) if read else None
+    c = _candidate(t, i)
+    return True, z and c.scale == 1, chern and not any(c.vector.coeffs[: i - 1])
 
 
-def _walk(t: TowerSpec, levels: list, need: int | None = None) -> tuple[bool, bool, bool]:
-    """The flags (q, z, chern) of t, each stage decided once, stage i on
-    the table of the height-(i-1) prefix.  levels[j] is the state of t's
-    prefix of height j for each j < len(levels), levels[0] being _EMPTY;
-    the walk appends the states up to height h-1.  With `need` it stops
-    at the first stage that makes that flag false; without, it gives all
-    three flags, checked against each other as `full_report` checks
-    them.  It does not decompose: a tower it finds Q-trivial has no stage
+def _walk(t: TowerSpec, levels: list) -> tuple[bool, bool, bool]:
+    """The flags (q, z, chern) of t, checked against each other as
+    `full_report` checks them, each stage decided once.  levels[j] is
+    the state of t's prefix of height j for each j < len(levels),
+    levels[0] being _EMPTY; the walk appends the states up to height
+    h-1.  It does not decompose: a tower it finds Q-trivial has no stage
     twisted over a wide stage, so `_reorder` could not fail on it."""
     h = t.height
     while len(levels) < h:
-        state = _step(t, len(levels), levels[-1], need)
-        if need is not None and not state[0][need]:
-            return state[0]
-        levels.append(state)
-    flags = _step(t, h, levels[h - 1], need)[0] if h else _EMPTY[0]
-    if need is None:
-        _check_flags(*flags)
+        levels.append(_step(t, len(levels), levels[-1]))
+    flags = _step(t, h, levels[h - 1]) if h else _EMPTY
+    _check_flags(*flags)
     return flags
 
 
@@ -411,12 +424,12 @@ def _walk(t: TowerSpec, levels: list, need: int | None = None) -> tuple[bool, bo
 
 def is_q_trivial(t: TowerSpec) -> bool:
     """Rational triviality via the per-stage Chern identities."""
-    return _walk(t, [_EMPTY], _Q)[_Q]
+    return _walk(t, [_EMPTY])[_Q]
 
 
 def is_total_chern_trivial(t: TowerSpec) -> bool:
     """True iff every c_k(xi_i), k >= 1, is zero in the ring."""
-    return _walk(t, [_EMPTY], _CHERN)[_CHERN]
+    return _walk(t, [_EMPTY])[_CHERN]
 
 
 def generator_candidates(t: TowerSpec) -> tuple[GeneratorCandidate, ...]:
@@ -428,7 +441,7 @@ def generator_candidates(t: TowerSpec) -> tuple[GeneratorCandidate, ...]:
 
 def is_z_trivial(t: TowerSpec) -> bool:
     """Integral triviality: Q-trivial and every candidate scale r_i = 1."""
-    return _walk(t, [_EMPTY], _Z)[_Z]
+    return _walk(t, [_EMPTY])[_Z]
 
 
 def bott_q_trivial(t: TowerSpec) -> bool:
@@ -459,8 +472,10 @@ def decompose(t: TowerSpec) -> Decomposition:
 
 def _reorder(t: TowerSpec) -> Decomposition:
     """`decompose` for a tower already known to be Q-trivial."""
-    order = [i for i in range(1, t.height + 1) if t.dims[i - 1] == 1]
-    order += [i for i in range(1, t.height + 1) if t.dims[i - 1] > 1]
+    dims = t.dims
+    order = [i for i, n in enumerate(dims, start=1) if n == 1]
+    r = len(order)
+    order += [i for i, n in enumerate(dims, start=1) if n > 1]
     images = [0] * t.height
     for new_pos, old_i in enumerate(order, start=1):
         images[old_i - 1] = new_pos
@@ -471,23 +486,15 @@ def _reorder(t: TowerSpec) -> Decomposition:
         raise InternalConsistencyError(
             f"Q-trivial tower resisted reordering: {exc}"
         ) from exc
+    new_dims = reordered.dims
     for i, stage in enumerate(reordered.stages, start=1):
         for k in range(1, i):
-            if reordered.dims[k - 1] > 1 and any(
-                row[k - 1] != 0 for row in stage.coeffs
-            ):
+            if new_dims[k - 1] > 1 and any(row[k - 1] != 0 for row in stage.coeffs):
                 raise InternalConsistencyError(
                     f"reordered stage {i} still twisted over wide stage {k}"
                 )
-    r = sum(1 for n in t.dims if n == 1)
     base = TowerSpec(tuple(reordered.stages[:r]))
-    return Decomposition(
-        permutation=sigma,
-        reordered=reordered,
-        bott_height=r,
-        base=base,
-        fiber_dims=tuple(n for n in reordered.dims[r:]),
-    )
+    return Decomposition(sigma, reordered, r, base, new_dims[r:])
 
 
 # -- aggregate ---------------------------------------------------------------

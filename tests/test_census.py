@@ -22,7 +22,6 @@ from gbott.cli import main
 from gbott.errors import GbottError
 from gbott.tower import matrix_line
 
-from conftest import twisted_over_wide
 from test_tower import towers
 from oracle_impls import enumerate_towers_flat, matrix_line_via_transpose
 
@@ -194,17 +193,21 @@ def test_classify_height_zero_tower():
 
 
 def test_classify_decides_each_prefix_once(monkeypatch):
-    """One decision per run of equal prefixes at each level, and one
-    last-stage decision per tower whose prefix passes; a stage twisted
-    over a wide stage fails with no ring decision."""
+    """One closed-form decision per run of equal prefixes at each level,
+    and one last-stage decision per tower whose prefix passes; no stage
+    is decided on a ring."""
     from gbott import triviality
 
-    calls = [0]
-    check = triviality._first_violated_k
+    calls = {"_closed_form_k": 0, "_first_violated_k": 0}
 
-    def counted(table, rows):
-        calls[0] += 1
-        return check(table, rows)
+    def counted(name):
+        decide = getattr(triviality, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return decide(*args)
+
+        return wrapper
 
     towers = list(enumerate_towers(3, (1, 2), 1))
     starts = {
@@ -215,22 +218,23 @@ def test_classify_decides_each_prefix_once(monkeypatch):
         ]
         for j in (1, 2)
     }
-    runs = {j: sum(1 for t in starts[j] if not twisted_over_wide(t, j)) for j in (1, 2)}
     passing = {}
     for t in towers:
         prefix = t.stages[:2]
         if prefix not in passing:
             passing[prefix] = full_report(TowerSpec(prefix)).q_trivial
-    under_passing = sum(
-        1 for t in towers if passing[t.stages[:2]] and not twisted_over_wide(t, 3)
-    )
-    assert (len(starts[1]), len(starts[2])) == (2, 48)
-    assert (runs[1], runs[2], under_passing) == (2, 28, 392)
+    under_passing = sum(1 for t in towers if passing[t.stages[:2]])
+    assert (len(starts[1]), len(starts[2]), under_passing) == (2, 48, 1260)
 
-    monkeypatch.setattr(triviality, "_first_violated_k", counted)
+    for name in calls:
+        monkeypatch.setattr(triviality, name, counted(name))
     for _ in classify(towers):
         pass
-    assert calls[0] == runs[1] + runs[2] + under_passing == 422
+    assert calls == {
+        "_closed_form_k": len(starts[1]) + len(starts[2]) + under_passing,
+        "_first_violated_k": 0,
+    }
+    assert calls["_closed_form_k"] == 1310
 
 
 def _enumerate(capsys, *extra):

@@ -54,13 +54,19 @@ print(json.dumps(phases))
 """
 
 # The library, as the census and the oracle sweep use it: a census
-# config and its towers, then the brute-force oracle on each.
+# config and its towers, their flags by the classifier and by the three
+# single-flag deciders, then the brute-force oracle on each.
 LIBRARY = """
 import gbott
 phase("import")
 config = gbott.EnumerationConfig(2, (1, 2), 1)
 towers = list(gbott.enumerate_towers(config.height, config.dims, config.coeff_bound))
 phase("census")
+from gbott.census import classify
+flags = [f for _, f in classify(towers)]
+deciders = (gbott.is_q_trivial, gbott.is_z_trivial, gbott.is_total_chern_trivial)
+phases["flags_agree"] = flags == [tuple(d(t) for d in deciders) for t in towers]
+phase("decide")
 answers = [gbott.z_trivial_oracle(t, bound=2) for t in towers]
 phase("oracle")
 print(json.dumps(phases))
@@ -134,6 +140,15 @@ def test_iso_loads_neither_census_nor_dataclasses(child):
 def test_census_set_up_loads_no_decider(library):
     loaded = {m for m in library["census"] if m.startswith("gbott")}
     assert loaded == {"gbott.census", "gbott.tower", "gbott._base", "gbott.errors"}
+
+
+def test_deciders_load_neither_rings_nor_polynomials(library):
+    """The classifier and the single-flag deciders decide every stage in
+    closed form, so they load no ring and no polynomial code."""
+    assert library["flags_agree"] is True
+    loaded = set(library["census"] + library["decide"])
+    assert "gbott.triviality" in loaded
+    assert not {"gbott.cohomology", "gbott.poly", "fractions"} & loaded
 
 
 def test_oracle_loads_no_polynomials(library):

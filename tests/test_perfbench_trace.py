@@ -14,18 +14,39 @@ import sys
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
-def test_traced_enumerate_counts_stage_checks(tmp_path):
-    trace = tmp_path / "trace.json"
+def _traced_cli(tmp_path, name, *args):
+    """The stdout of a traced `gbott ARGS`, and its counters."""
+    trace = tmp_path / name
     proc = subprocess.run(
         [sys.executable, str(ROOT / "perfbench" / "child.py"), "cli", str(trace),
-         "--", "enumerate", "--height", "3", "--dims", "1", "--bound", "1"],
+         "--", *args],
         cwd=tmp_path, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert "# towers: 27 emitted: 27" in proc.stdout
-    counters = json.loads(trace.read_text())
+    return proc.stdout, json.loads(trace.read_text())
+
+
+def test_traced_enumerate_counts_stage_checks(tmp_path):
+    """A census decides every stage in closed form, so it never reaches
+    the ring decision that the tracer counts as a stage check; `gbott
+    report` does, for a stage above a failing one."""
+    out, counters = _traced_cli(
+        tmp_path, "census.json", "enumerate", "--height", "3", "--dims", "1",
+        "--bound", "1")
+    assert "# towers: 27 emitted: 27" in out
     assert counters["counts"]["towers_generated"] == 27
-    assert counters["calls"]["triviality.stage_check"] > 0
+    assert counters["calls"].get("triviality.stage_check", 0) == 0
+    assert counters["calls"]["cli.main"] == 1
+
+    # stage 2, a line twisted over CP^2, fails; stage 3 is decided on the ring
+    from gbott import StageSpec, TowerSpec, serialize_tower
+
+    tower = tmp_path / "above_failure.tower"
+    tower.write_text(serialize_tower(TowerSpec(
+        (StageSpec(2), StageSpec(1, ((1,),)), StageSpec(1, ((0, 1),))))))
+    out, counters = _traced_cli(tmp_path, "report.json", "report", str(tower))
+    assert "  stage 2: Chern identity fails at k=2" in out.splitlines()
+    assert counters["calls"]["triviality.stage_check"] == 1
     assert counters["calls"]["cli.main"] == 1
 
 

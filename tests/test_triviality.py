@@ -115,12 +115,10 @@ def _check_against_reference(t) -> int:
 def test_table_decider_matches_normal_form_reference(t):
     from gbott import triviality
 
-    ring = CohomRing(t)
-    table = ring.block_table()
+    table = CohomRing(t).block_table()
     for i, stage in enumerate(t.stages, start=1):
-        k, chern, _ = triviality._first_violated_k(table, stage.coeffs)
+        k = triviality._first_violated_k(table, stage.coeffs)
         assert k == chern_identity_violation(t, i)
-        assert chern == all(ring.is_zero(c) for c in stage_chern_classes(t, i)[1:])
     _check_against_reference(t)
     rep = full_report(t)
     assert rep.total_chern_trivial == total_chern_trivial_reference(t)
@@ -157,6 +155,53 @@ def test_stages_twisted_over_a_wide_stage_fail_at_k2(height, dims, bound, wide):
         _check_against_reference(t) for t in enumerate_towers(height, dims, bound)
     )
     assert found == wide
+
+
+def _walked_stages(t, decide):
+    """Stage i of t for each i whose height-(i-1) prefix is Q-trivial,
+    that is, each stage a walk decides in closed form, with its first
+    violated k by `decide(t, i)`: up to and including the first failing
+    stage."""
+    for i in range(1, t.height + 1):
+        k = decide(t, i)
+        yield i, k
+        if k is not None:
+            return
+
+
+@pytest.mark.parametrize(
+    "height, dims, bound, stages",
+    [(3, (1, 2), 1, 5580), (2, (1, 2, 3), 2, 930), (2, (2, 3, 4), 1, 702),
+     (4, (1,), 1, 2484)],
+)
+def test_closed_form_matches_ring_decision(height, dims, bound, stages):
+    """On every stage with a Q-trivial prefix, the closed form gives the
+    first violated k that `_first_violated_k` finds on the prefix's ring."""
+    from gbott import triviality
+
+    tables = {}
+
+    def on_ring(t, i):
+        prefix = t.stages[: i - 1]
+        if prefix not in tables:
+            tables[prefix] = CohomRing(TowerSpec(prefix)).block_table()
+        return triviality._first_violated_k(tables[prefix], t.stages[i - 1].coeffs)
+
+    checked = 0
+    for t in enumerate_towers(height, dims, bound):
+        for i, k in _walked_stages(t, on_ring):
+            assert triviality._closed_form_k(t, i) == k, (t, i)
+            checked += 1
+    assert checked == stages
+
+
+@given(st.one_of(sparse_towers(), sparse_towers(max_height=5, max_dim=1)))
+@settings(max_examples=80, deadline=None)
+def test_closed_form_matches_normal_form_reference(t):
+    from gbott import triviality
+
+    for i, k in _walked_stages(t, chern_identity_violation):
+        assert triviality._closed_form_k(t, i) == k, i
 
 
 # -- total Chern triviality -------------------------------------------------------
@@ -408,15 +453,16 @@ def test_candidate_matrix_certifies_q_trivial_towers(height, dims, bound):
     assert checked == CERTIFIED_CENSUSES[height, dims, bound]
 
 
-def test_q_trivial_towers_are_bundles_over_q_trivial_bott_towers():
+@pytest.mark.parametrize("height, dims, bound", list(CERTIFIED_CENSUSES))
+def test_q_trivial_towers_are_bundles_over_q_trivial_bott_towers(height, dims, bound):
     """The paper's theorem on every Q-trivial tower of a census: the
     lines-first reordering has a Q-trivial Bott tower as its base, and
     the stage permutation, as the matrix sending generator i of the
     reordered tower to generator images[i-1] of the tower, is a
     Z-isomorphism of their rings (its transpose is not, in general)."""
     checked = 0
-    for t in enumerate_towers(3, (1, 2), 1):
-        if not is_q_trivial(t):
+    for t, (q, _, _) in classify(enumerate_towers(height, dims, bound)):
+        if not q:
             continue
         dec = decompose(t)
         assert all(n == 1 for n in dec.base.dims)
@@ -428,7 +474,7 @@ def test_q_trivial_towers_are_bundles_over_q_trivial_bott_towers():
             Degree2Map(M), CohomRing(dec.reordered), CohomRing(t), over_integers=True
         ), t
         checked += 1
-    assert checked == 208
+    assert checked == CERTIFIED_CENSUSES[height, dims, bound]
 
 
 # -- aggregate report -----------------------------------------------------------------------
@@ -459,29 +505,62 @@ def test_full_report_twisted_line_tower():
     assert data["stages"][1]["scale"] == 2
 
 
-def _record_ring_decisions(monkeypatch) -> list[int]:
-    """The stage of each `_first_violated_k` call the deciders make."""
+def _record(monkeypatch, name, stage) -> list[int]:
+    """The stage, `stage(*args)`, of each call of the per-stage decider
+    `triviality.<name>`."""
     from gbott import triviality
 
     decided = []
-    check = triviality._first_violated_k
+    decide = getattr(triviality, name)
 
-    def recorded(table, rows):
-        decided.append(len(rows[0]) + 1)  # stage i's rows have i-1 entries
-        return check(table, rows)
+    def recorded(*args):
+        decided.append(stage(*args))
+        return decide(*args)
 
-    monkeypatch.setattr(triviality, "_first_violated_k", recorded)
+    monkeypatch.setattr(triviality, name, recorded)
     return decided
 
 
+def _record_ring_decisions(monkeypatch) -> list[int]:
+    """The stage of each `_first_violated_k` call the deciders make
+    (stage i's rows have i-1 entries)."""
+    return _record(
+        monkeypatch, "_first_violated_k", lambda table, rows: len(rows[0]) + 1
+    )
+
+
+def _record_closed_forms(monkeypatch) -> list[int]:
+    """The stage of each `_closed_form_k` call the deciders make."""
+    return _record(monkeypatch, "_closed_form_k", lambda t, i: i)
+
+
+def _record_extensions(monkeypatch) -> list[int]:
+    """The number of generator maps of each table extended anywhere."""
+    from gbott import cohomology
+
+    built = []
+    extend = cohomology.extend_table
+
+    def recorded(*args):
+        table = extend(*args)
+        built.append(len(table))
+        return table
+
+    monkeypatch.setattr(cohomology, "extend_table", recorded)
+    return built
+
+
 def test_full_report_checks_each_stage_once(monkeypatch):
-    """A Q-trivial tower's stages are decided once each: neither the
-    total-Chern flag nor the decomposition decides a stage again."""
-    calls = _record_ring_decisions(monkeypatch)
+    """A Q-trivial tower's stages are decided once each, in closed form:
+    neither the total-Chern flag nor the decomposition decides a stage
+    again, and no stage is decided on a ring."""
+    closed = _record_closed_forms(monkeypatch)
+    decided = _record_ring_decisions(monkeypatch)
+    built = _record_extensions(monkeypatch)
     t = TowerSpec((StageSpec(1), StageSpec(2, ((0,), (0,))), StageSpec(1, ((2, 0),))))
     rep = full_report(t)
     assert rep.q_trivial
-    assert calls == [1, 2, 3]
+    assert (closed, decided, built) == ([1, 2, 3], [], [])
     assert rep.decomposition == decompose(t)
 
 
@@ -514,79 +593,97 @@ def test_only_full_report_and_decompose_reorder(monkeypatch):
     assert calls[0] == 2 * 208
 
 
-def _record_extensions(monkeypatch) -> list[int]:
-    """The number of generator maps of each table the deciders extend to."""
-    from gbott import triviality
-
-    built = []
-    extend = triviality.extend_table
-
-    def recorded(*args):
-        table = extend(*args)
-        built.append(len(table))
-        return table
-
-    monkeypatch.setattr(triviality, "extend_table", recorded)
-    return built
-
-
 def test_is_q_trivial_never_builds_the_last_map(monkeypatch, qtwin_a):
-    """Stage i is decided on the height-(i-1) prefix's table, so a
-    height-h tower needs maps 1..h-1 only, and a failing stage ends the
-    walk before any table above it is built."""
+    """The deciders build no table and make no ring decision: each stage
+    up to the first failing one is decided once in closed form, and no
+    stage above it is decided at all."""
+    closed = _record_closed_forms(monkeypatch)
+    decided = _record_ring_decisions(monkeypatch)
     built = _record_extensions(monkeypatch)
     assert is_q_trivial(product_tower((1, 2, 1, 3)))
-    assert built == [1, 2, 3]
-    built.clear()
+    assert closed == [1, 2, 3, 4]
+    closed.clear()
     failing = TowerSpec(qtwin_a.stages + (StageSpec(1, ((0, 0),)),))
     assert not is_q_trivial(failing)
-    assert built == [1]
-    built.clear()
+    assert not is_z_trivial(failing)
+    assert closed == [1, 2, 1, 2]
+    closed.clear()
     assert is_total_chern_trivial(product_tower((2, 2)))
     assert bott_q_trivial(hirzebruch(2))
-    assert built == [1, 1]
-    built.clear()
+    assert closed == [1, 2, 1, 2]
+    closed.clear()
     chern_fails = TowerSpec(hirzebruch(2).stages + (StageSpec(1, ((0, 0),)),))
     assert not is_total_chern_trivial(chern_fails)
-    assert built == [1]
+    assert closed == [1, 2, 3]
+    assert (decided, built) == ([], [])
+
+
+def _record_tables(monkeypatch) -> list[int]:
+    """The height of each ring whose table `CohomRing.block_table` folds."""
+    from gbott import cohomology
+
+    heights = []
+    block_table = cohomology.CohomRing.block_table
+
+    def recorded(ring):
+        if ring._blocks is None:
+            heights.append(ring.nvars)
+        return block_table(ring)
+
+    monkeypatch.setattr(cohomology.CohomRing, "block_table", recorded)
+    return heights
 
 
 def test_full_report_never_builds_the_last_map(monkeypatch, qtwin_a):
+    """`full_report` builds no table for a tower up to its first failing
+    stage, and for the stages above it the one table of the height-(h-1)
+    prefix, so never the last generator's map."""
+    tables = _record_tables(monkeypatch)
     built = _record_extensions(monkeypatch)
     assert full_report(product_tower((1, 2, 1))).q_trivial
-    assert built == [1, 2]
-    built.clear()
     assert not full_report(qtwin_a).q_trivial
-    assert built == [1]
+    assert (tables, built) == ([], [])
+    above = (StageSpec(1, ((0, 0),)), StageSpec(1, ((0, 0, 0),)),
+             StageSpec(1, ((0, 0, 1, 1),)))
+    t = TowerSpec(qtwin_a.stages + above)
+    rep = full_report(t)
+    assert [d.violated_k for d in rep.per_stage] == [None, 2, None, None, 2]
+    assert (tables, built) == ([4], [1, 2, 3, 4])
+    assert rep.per_stage == tuple(_reference_diagnostic(t, i) for i in range(1, 6))
 
 
 def test_full_report_on_a_tower_twisted_over_a_wide_stage(monkeypatch):
-    """Stage 2, a line twisted over CP^2, fails at k = 2 with no ring
-    decision; its classes still extend the table that stage 3, decided
-    on the ring, reads."""
+    """Stage 2, a line twisted over CP^2, fails at k = 2 in closed form;
+    stage 3, above it, is decided on the ring, on the one table of the
+    height-2 prefix."""
+    closed = _record_closed_forms(monkeypatch)
     decided = _record_ring_decisions(monkeypatch)
-    built = _record_extensions(monkeypatch)
+    tables = _record_tables(monkeypatch)
     t = TowerSpec((StageSpec(2), StageSpec(1, ((1,),)), StageSpec(1, ((0, 1),))))
     rep = full_report(t)
     assert rep.per_stage[1].violated_k == 2
-    assert decided == [1, 3]
-    assert built == [1, 2]
+    assert (closed, decided, tables) == ([1, 2], [3], [2])
     assert rep.per_stage[2] == _reference_diagnostic(t, 3)
     assert not rep.q_trivial and rep.decomposition is None
 
 
 def test_census_extends_only_the_tables_a_stage_reads(monkeypatch):
-    """The benchmark census extends one table per passing prefix that a
-    later stage reads, decides on the ring only the stages not twisted
-    over a wide stage, and its flag histogram is unchanged."""
+    """The benchmark census decides every stage it reaches in closed
+    form: it makes no ring decision, builds no ring and extends no
+    table, and its flag histogram is unchanged."""
+    from gbott import cohomology
+
+    closed = _record_closed_forms(monkeypatch)
     decided = _record_ring_decisions(monkeypatch)
     built = _record_extensions(monkeypatch)
+    rings = []
+    monkeypatch.setattr(cohomology.CohomRing, "__init__", lambda *a: rings.append(a))
     counts = Counter(
         "".join("TF"[not f] for f in flags)
         for _, flags in classify(enumerate_towers(3, (1, 2), 2))
     )
-    assert len(decided) == 4098
-    assert len(built) == 66
+    assert (len(decided), len(built), len(rings)) == (0, 0, 0)
+    assert len(closed) == 20922
     assert counts == {"FFF": 37708, "TFF": 1096, "TTF": 148, "TTT": 48}
 
 
