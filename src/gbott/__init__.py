@@ -39,7 +39,7 @@ _HOME = {
     "check_hom": "isosearch",
     "chern_classes": "cohomology",
     "decompose": "triviality",
-    "default_names": "poly",
+    "default_names": "_base",
     "enumerate_towers": "census",
     "expected_count": "census",
     "full_report": "triviality",

@@ -1,6 +1,6 @@
 """Definitions shared across gbott that import nothing: the read-only
 base of gbott's value types, the census filter keys, and the grammar
-of a generator name.
+and default spelling of a generator name.
 
 `Frozen` is the base of the value types (`StageSpec`, `TowerSpec`,
 `Permutation`, `ChernData`, `Degree2Map`, the `triviality` results and
@@ -10,9 +10,7 @@ arguments and stores each field with `_set(self, name, value)`.  The
 base gives it what a frozen dataclass would: equality and hash by
 fields, equal only to an instance of the same class; the repr
 `Name(field=value, ...)`; `AttributeError` on assignment; and pickling
-by calling the class on the fields again.  A class compared in a hot
-loop defines its own `__eq__` on its fields, and then its `__hash__`
-too, since defining `__eq__` resets it.
+by calling the class on the fields again.
 
 The classes are plain slotted classes rather than dataclasses, so that
 no gbott module imports `dataclasses`, which costs more than a short
@@ -26,6 +24,12 @@ FILTER_KEYS = ("q", "z", "chern")
 GENERATOR_NAME = "[A-Za-z][A-Za-z0-9_]*"
 """The regular expression of a generator name: one name token of the
 polynomial text form (`gbott.poly`), so that printed text reads back."""
+
+
+def default_names(nvars: int) -> tuple[str, ...]:
+    """The generator names x1, ..., x<nvars>."""
+    return tuple(f"x{i}" for i in range(1, nvars + 1))
+
 
 _set = object.__setattr__
 

@@ -26,7 +26,7 @@ import re
 import sys
 
 from . import __version__
-from ._base import FILTER_KEYS, GENERATOR_NAME
+from ._base import FILTER_KEYS, GENERATOR_NAME, default_names
 from .errors import GbottError, PreconditionError
 
 EXIT_OK = 0
@@ -57,10 +57,8 @@ def _load(path: str):
 
 def _names(t, raw: str | None) -> tuple[str, ...]:
     if raw is None:
-        from .poly import default_names
-
         return default_names(t.height)
-    names = tuple(n.strip() for n in raw.split(",") if n.strip())
+    names = tuple(n.strip() for n in raw.split(","))
     for i, name in enumerate(names):
         if not re.fullmatch(GENERATOR_NAME, name):
             raise GbottError(
@@ -88,7 +86,6 @@ def _chern_lines(t, ring, names) -> list[str]:
 
 
 def cmd_report(args) -> int:
-    from .cohomology import CohomRing
     from .tower import vector_matrix_transpose
     from .triviality import full_report
 
@@ -103,6 +100,8 @@ def cmd_report(args) -> int:
         payload["matrix"] = [list(r) for r in vector_matrix_transpose(t)]
         print(json.dumps(payload, indent=2))
         return EXIT_OK
+    from .cohomology import CohomRing  # the JSON report prints no ring
+
     ring = CohomRing(t)
     print(f"tower: height {t.height}, fiber dims {list(t.dims)}")
     print(ring.report(names))

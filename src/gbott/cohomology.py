@@ -47,7 +47,7 @@ from __future__ import annotations
 import itertools
 from functools import cached_property
 
-from ._base import Frozen, _set
+from ._base import Frozen, _set, default_names
 from .errors import DimensionMismatch
 from .tower import TowerSpec
 
@@ -86,25 +86,16 @@ def chern_classes(t: TowerSpec, stage: int) -> ChernData:
     is 1."""
     if not 1 <= stage <= t.height:
         raise IndexError(f"stage {stage} out of range 1..{t.height}")
-    from . import _kernel_py as _k
     from .poly import Polynomial
 
     h = t.height
-    elementary = [_k.punit(h)]
+    classes = [Polynomial.one(h)]  # c_0..c_j of the first j rows
     for row in t.stages[stage - 1].coeffs:
-        form = {}
-        for k, a in enumerate(row):
-            if a:
-                e = [0] * h
-                e[k] = 1
-                form[tuple(e)] = a
-        new = [elementary[0]]
-        for k in range(1, len(elementary) + 1):
-            prev = elementary[k] if k < len(elementary) else {}
-            new.append(_k.padd(prev, _k.pmul(elementary[k - 1], form)))
-        elementary = new
-    classes = tuple(Polynomial._wrap(d, h) for d in elementary)
-    return ChernData(stage=stage, classes=classes)
+        form = Polynomial.linear(row).extended(h)
+        classes = [classes[0]] + [
+            classes[k] + classes[k - 1] * form for k in range(1, len(classes))
+        ] + [classes[-1] * form]
+    return ChernData(stage=stage, classes=tuple(classes))
 
 
 class CohomRing:
@@ -133,22 +124,14 @@ class CohomRing:
     @cached_property
     def relations(self) -> tuple[Polynomial, ...]:
         """r_i = x_i * prod_j (l_ij + x_i), one per stage."""
-        from . import _kernel_py as _k
         from .poly import Polynomial
 
         out = []
         for i, stage in enumerate(self.tower.stages, start=1):
-            xi = Polynomial.variable(i, self.nvars)._terms
-            rel = dict(xi)
+            rel = xi = Polynomial.variable(i, self.nvars)
             for row in stage.coeffs:
-                form = dict(xi)
-                for k, a in enumerate(row):
-                    if a:
-                        e = [0] * self.nvars
-                        e[k] = 1
-                        form[tuple(e)] = a
-                rel = _k.pmul(rel, form)
-            out.append(Polynomial._wrap(rel, self.nvars))
+                rel = rel * (Polynomial.linear(row).extended(self.nvars) + xi)
+            out.append(rel)
         return tuple(out)
 
     # -- normal form --------------------------------------------------------
@@ -242,8 +225,6 @@ class CohomRing:
 
     def report(self, names=None) -> str:
         """Text presentation: generators, relations, Poincare ranks."""
-        from .poly import default_names
-
         names = tuple(names) if names is not None else default_names(self.nvars)
         lines = [
             "generators: "

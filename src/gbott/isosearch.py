@@ -27,8 +27,10 @@ product of linear forms, so its image is the column's own vector (the
 image of x_j) multiplied by the image of each further factor in turn.
 The part of each factor that comes from the earlier columns, the offset
 (the image of l_jk), is summed once per search node.  `relation_residues`
-and `check_hom` take the same path; the tests check it against
-polynomial substitution and rewriting in tests/oracle_impls.py.
+and `check_hom` take the same path (`_relation_images`), the former
+only to show the images as polynomials; so `check_hom` and `is_iso`
+load no polynomial code.  The tests check the path against polynomial
+substitution and rewriting in tests/oracle_impls.py.
 
 Whether a column passes r_j depends only on the node's offsets, and not
 on their order, since the factors commute; the depth j enters only
@@ -176,12 +178,9 @@ def _rank(columns: list[tuple]) -> int:
 # -- homomorphism checks -----------------------------------------------------
 
 
-def relation_residues(
-    M: Degree2Map, src: CohomRing, tgt: CohomRing
-) -> tuple[Polynomial, ...]:
-    """Normal forms in the target of the images of all source relations,
-    through the target's multiplication table; the map is a
-    well-defined homomorphism iff all are zero."""
+def _relation_images(M: Degree2Map, src: CohomRing, tgt: CohomRing) -> list[dict]:
+    """The images of all source relations as sparse block-order vectors
+    of the target, through its multiplication table."""
     if src.nvars != tgt.nvars or M.size != src.nvars:
         raise DimensionMismatch(
             f"map of size {M.size} between rings with {src.nvars} and "
@@ -189,21 +188,28 @@ def relation_residues(
         )
     table = tgt.block_table()
     columns = [M.column(j) for j in range(1, M.size + 1)]
-    return tuple(
-        tgt.polynomial(
-            _relation_image(table, columns[j], _offsets(stage.coeffs, columns[:j], M.size))
-        )
+    return [
+        _relation_image(table, columns[j], _offsets(stage.coeffs, columns[:j], M.size))
         for j, stage in enumerate(src.tower.stages)
-    )
+    ]
+
+
+def relation_residues(
+    M: Degree2Map, src: CohomRing, tgt: CohomRing
+) -> tuple[Polynomial, ...]:
+    """Normal forms in the target of the images of all source relations;
+    the map is a well-defined homomorphism iff all are zero."""
+    return tuple(tgt.polynomial(vec) for vec in _relation_images(M, src, tgt))
 
 
 def check_hom(
     M: Degree2Map, src: CohomRing, tgt: CohomRing, over_integers: bool = False
 ) -> bool:
-    """True iff x_j -> column j extends to a ring homomorphism."""
+    """True iff x_j -> column j extends to a ring homomorphism: every
+    relation's image vanishes, with no polynomial built."""
     if over_integers and not M.is_integral:
         raise PreconditionError("integral check requested for a non-integral map")
-    return all(res.is_zero for res in relation_residues(M, src, tgt))
+    return not any(_relation_images(M, src, tgt))
 
 
 def is_iso(

@@ -23,7 +23,7 @@ from fractions import Fraction
 from types import MappingProxyType
 
 from . import _kernel_py as _k
-from ._base import GENERATOR_NAME
+from ._base import GENERATOR_NAME, default_names
 from .errors import DimensionMismatch, PolynomialSyntaxError
 
 Coefficient = int | Fraction
@@ -39,10 +39,6 @@ def _canon_coeff(c) -> Coefficient:
     if isinstance(c, int):
         return int(c)
     raise TypeError(f"coefficient must be int or Fraction, got {type(c).__name__}")
-
-
-def default_names(nvars: int) -> tuple[str, ...]:
-    return tuple(f"x{i}" for i in range(1, nvars + 1))
 
 
 class Polynomial:

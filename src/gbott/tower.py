@@ -45,15 +45,6 @@ class StageSpec(Frozen):
         _set(self, "fiber_dim", int(fiber_dim))
         _set(self, "coeffs", tuple(tuple(int(x) for x in row) for row in coeffs))
 
-    # compared stage by stage in the census's prefix walk, so directly
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.fiber_dim == other.fiber_dim and self.coeffs == other.coeffs
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.fiber_dim, self.coeffs))
-
 
 class TowerSpec(Frozen):
     """An ordered list of stages; validated on construction."""
@@ -73,14 +64,6 @@ class TowerSpec(Frozen):
             stages = (first,) + stages[1:]
         _set(self, "stages", stages)
         self.validate()
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.stages == other.stages
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.stages,))
 
     def validate(self) -> None:
         """Raise TowerValidationError unless every stage has a positive

@@ -102,7 +102,7 @@ from __future__ import annotations
 import itertools
 import math
 
-from ._base import Frozen, _set
+from ._base import Frozen, _set, default_names
 from .errors import (
     InadmissiblePermutation,
     InternalConsistencyError,
@@ -237,8 +237,6 @@ class TrivialityReport(Frozen):
         return out
 
     def to_text(self, names=None) -> str:
-        from .poly import default_names
-
         names = tuple(names) if names is not None else default_names(
             len(self.per_stage)
         )

@@ -192,10 +192,16 @@ def test_classify_height_zero_tower():
     assert [f for _, f in classify(towers)] == [_report_flags(t) for t in towers]
 
 
+def _same_prefix(a, b, j):
+    """Whether towers a and b share their first j stages as objects."""
+    return all(x is y for x, y in zip(a.stages[:j], b.stages[:j]))
+
+
 def test_classify_decides_each_prefix_once(monkeypatch):
-    """One closed-form decision per run of equal prefixes at each level,
-    and one last-stage decision per tower whose prefix passes; no stage
-    is decided on a ring."""
+    """One closed-form decision per run of identical prefixes at each
+    level, and one last-stage decision per tower whose prefix passes; no
+    stage is decided on a ring.  The census builds stage 1 once per
+    shape, so each of the 8 shapes starts a level-1 run."""
     from gbott import triviality
 
     calls = {"_closed_form_k": 0, "_first_violated_k": 0}
@@ -214,7 +220,7 @@ def test_classify_decides_each_prefix_once(monkeypatch):
         j: [
             b
             for a, b in zip([None] + towers, towers)
-            if a is None or a.stages[:j] != b.stages[:j]
+            if a is None or not _same_prefix(a, b, j)
         ]
         for j in (1, 2)
     }
@@ -224,7 +230,7 @@ def test_classify_decides_each_prefix_once(monkeypatch):
         if prefix not in passing:
             passing[prefix] = full_report(TowerSpec(prefix)).q_trivial
     under_passing = sum(1 for t in towers if passing[t.stages[:2]])
-    assert (len(starts[1]), len(starts[2]), under_passing) == (2, 48, 1260)
+    assert (len(starts[1]), len(starts[2]), under_passing) == (8, 48, 1260)
 
     for name in calls:
         monkeypatch.setattr(triviality, name, counted(name))
@@ -234,7 +240,15 @@ def test_classify_decides_each_prefix_once(monkeypatch):
         "_closed_form_k": len(starts[1]) + len(starts[2]) + under_passing,
         "_first_violated_k": 0,
     }
-    assert calls["_closed_form_k"] == 1310
+    assert calls["_closed_form_k"] == 1316
+
+
+def test_classify_flat_stream_matches_full_report():
+    """A stream that builds every tower from fresh stages shares no
+    prefix object, so every stage is decided again; the flags are still
+    `full_report`'s."""
+    towers = list(enumerate_towers_flat(3, (1, 2), 1))
+    assert [f for _, f in classify(towers)] == [_report_flags(t) for t in towers]
 
 
 def _enumerate(capsys, *extra):

@@ -48,15 +48,16 @@ def test_names_must_match_height(capsys, data_dir):
 @pytest.mark.parametrize(
     "names, entry",
     [("a,a", "'a'"), ("a,2b", "'2b'"), ("a,b c", "'b c'"), ("x^2,y", "'x^2'"),
-     ("a,b-c", "'b-c'")],
+     ("a,b-c", "'b-c'"), ("a,,b", "''"), ("a,b,", "''")],
 )
 def test_names_must_read_back(capsys, data_dir, names, entry):
     """Each --names entry must be one generator name, and no two alike,
-    so that the printed polynomials read back; the error names it."""
-    for command in ("report", "ring", "chern"):
-        code, out, err = run(
-            capsys, command, path(data_dir, "hirzebruch_3.tower"), "--names", names
-        )
+    so that the printed polynomials read back; the error names it.  An
+    empty entry is no name, not one to skip.  The JSON report prints no
+    polynomial but checks the names all the same."""
+    tower = path(data_dir, "hirzebruch_3.tower")
+    for command in (["report"], ["report", "--json"], ["ring"], ["chern"]):
+        code, out, err = run(capsys, *command, tower, "--names", names)
         assert (code, out) == (2, "")
         assert entry in err and "--names" in err
 

@@ -72,6 +72,27 @@ phase("oracle")
 print(json.dumps(phases))
 """
 
+# The checks that need no polynomial: a map's homomorphism and
+# isomorphism tests, then `gbott report --json` on a tower whose last
+# stage, above a failing one, is decided on a ring.
+CHECKS = """
+import gbott
+from gbott import cli
+src = gbott.CohomRing(gbott.load_tower(sys.argv[1]))
+tgt = gbott.CohomRing(gbott.load_tower(sys.argv[2]))
+phase("rings")
+M = gbott.Degree2Map(((2, 0), (0, 1)))
+phases["answers"] = [
+    gbott.check_hom(M, src, tgt, over_integers=True),
+    gbott.is_iso(M, src, tgt),
+    gbott.is_iso(M, src, tgt, over_integers=True),
+]
+phase("is_iso")
+phases["report_exit"] = cli.main(["report", "--json", sys.argv[3]])
+phase("report")
+print(json.dumps(phases))
+"""
+
 
 def _run(script: str, *args: str):
     proc = subprocess.run(
@@ -94,6 +115,23 @@ def child():
 @pytest.fixture(scope="module")
 def library():
     return _run(LIBRARY)[1]
+
+
+@pytest.fixture(scope="module")
+def checks(tmp_path_factory):
+    from gbott import StageSpec, TowerSpec, save_tower
+
+    above_failure = tmp_path_factory.mktemp("towers") / "above_failure.tower"
+    save_tower(
+        TowerSpec((StageSpec(2), StageSpec(1, ((1,),)), StageSpec(1, ((0, 1),)))),
+        above_failure,
+    )
+    return _run(
+        CHECKS,
+        str(DATA / "qtwin_a.tower"),
+        str(DATA / "qtwin_b.tower"),
+        str(above_failure),
+    )
 
 
 def test_bare_import_loads_no_submodule(child):
@@ -155,6 +193,27 @@ def test_oracle_loads_no_polynomials(library):
     loaded = set(library["census"] + library["oracle"])
     assert not {"gbott.poly", "gbott._kernel_py", "fractions"} & loaded
     assert "gbott.isosearch" in loaded
+
+
+def test_is_iso_loads_no_polynomials(checks):
+    """`check_hom` and `is_iso` decide on the relation images as vectors,
+    so they load no polynomial code."""
+    _, phases = checks
+    assert phases["answers"] == [True, True, False]
+    loaded = set(phases["is_iso"])
+    assert "gbott.isosearch" in loaded
+    assert not {"gbott.poly", "gbott._kernel_py", "fractions", "decimal"} & loaded
+
+
+def test_json_report_loads_no_polynomials(checks):
+    """`gbott report --json` prints flags, candidates and the block
+    matrix, so it loads neither the polynomial layer nor `fractions`."""
+    printed, phases = checks
+    assert phases["report_exit"] == 0
+    assert json.loads("\n".join(printed))["stages"][1]["violated_k"] == 2
+    loaded = set(phases["rings"] + phases["is_iso"] + phases["report"])
+    assert "gbott.triviality" in loaded
+    assert not {"gbott.poly", "gbott._kernel_py", "fractions"} & loaded
 
 
 def test_from_gbott_import_submodule(child):

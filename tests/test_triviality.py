@@ -670,8 +670,23 @@ def test_full_report_on_a_tower_twisted_over_a_wide_stage(monkeypatch):
 def test_census_extends_only_the_tables_a_stage_reads(monkeypatch):
     """The benchmark census decides every stage it reaches in closed
     form: it makes no ring decision, builds no ring and extends no
-    table, and its flag histogram is unchanged."""
+    table, and its flag histogram is unchanged.  It decides stages 1
+    and 2 once per run of towers that share them as objects, and
+    stage 3 once per tower over a Q-trivial prefix."""
     from gbott import cohomology
+
+    towers = list(enumerate_towers(3, (1, 2), 2))
+    runs = sum(
+        a is None or any(x is not y for x, y in zip(a.stages[:j], b.stages[:j]))
+        for j in (1, 2)
+        for a, b in zip([None] + towers, towers)
+    )
+    passing = {}
+    for t in towers:
+        if t.stages[:2] not in passing:
+            passing[t.stages[:2]] = is_q_trivial(TowerSpec(t.stages[:2]))
+    under_passing = sum(passing[t.stages[:2]] for t in towers)
+    assert (runs, under_passing) == (8 + 120, 20800)
 
     closed = _record_closed_forms(monkeypatch)
     decided = _record_ring_decisions(monkeypatch)
@@ -679,11 +694,10 @@ def test_census_extends_only_the_tables_a_stage_reads(monkeypatch):
     rings = []
     monkeypatch.setattr(cohomology.CohomRing, "__init__", lambda *a: rings.append(a))
     counts = Counter(
-        "".join("TF"[not f] for f in flags)
-        for _, flags in classify(enumerate_towers(3, (1, 2), 2))
+        "".join("TF"[not f] for f in flags) for _, flags in classify(towers)
     )
     assert (len(decided), len(built), len(rings)) == (0, 0, 0)
-    assert len(closed) == 20922
+    assert len(closed) == runs + under_passing == 20928
     assert counts == {"FFF": 37708, "TFF": 1096, "TTF": 148, "TTT": 48}
 
 
