@@ -10,15 +10,20 @@ the identical stream.
 `enumerate_towers` makes that order as a recursive depth-first walk
 over the levels, one shape at a time: each stage's matrices run
 through the product of the twist values, and every one of them is
-followed by all the towers that extend it.  A level's `StageSpec` is
-built once per visit and shared, as the same object, by every tower
-that extends it; only the towers themselves are built (and validated by
-`TowerSpec`) one by one.  The walk holds one generator frame and one
-stage iterator per level, so memory stays O(height) however large the
-census.  A consumer can tell by identity which stages changed since
-the tower before: `classify` below matches prefixes that way, and
-`gbott enumerate` remakes a line's text only for the stages that
-changed.
+followed by all the towers that extend it.  The stages of level i and
+fiber dimension n are the same under every prefix and in every shape,
+so one census builds each of them once, as one `StageSpec` that every
+tower holding it shares, while they fit under one cap (`_MEMO_CAP`
+stages, summed over all levels and dimensions); a level that does not
+fit is built afresh under each prefix and shared by the towers that
+extend that visit.  Only the towers themselves are built (and
+validated by `TowerSpec`) one by one.  The walk holds one generator
+frame and one pass over a level's stages per level above the last, so
+memory stays O(height) plus the cap however large the census.  A
+consumer can tell by identity which stages changed since the tower
+before: `classify` below matches prefixes that way, and `gbott
+enumerate` keeps a stage's text by identity, so it makes the text of
+each kept stage once.
 
 `classify` gives each tower of a stream the flags of
 `triviality.full_report`.  Stage i is decided in the cohomology of the
@@ -38,11 +43,11 @@ stages are the very objects of the tower before.  Identical stages are
 equal, so a match is never wrong, and a stream whose equal stages are
 distinct objects (towers built one by one) is only decided again; the
 flags do not depend on the order of the stream, and memory stays
-O(height).  `enumerate_towers` builds stage 1 afresh for each shape, so
-the 39 000 towers of height 3, dims {1, 2}, twists in [-2, 2] take
-20 928 closed-form decisions of a stage: 8 of stage 1, one per shape,
-120 of stage 2 and 20 800 of stage 3.  Neither `gbott.cohomology` nor
-`gbott.poly` is loaded.
+O(height).  `enumerate_towers` shares stage 1 between the shapes with
+the same n_1, so the 39 000 towers of height 3, dims {1, 2}, twists in
+[-2, 2] take 20 922 closed-form decisions of a stage: 2 of stage 1,
+one per n_1, 120 of stage 2 and 20 800 of stage 3.  Neither
+`gbott.cohomology` nor `gbott.poly` is loaded.
 """
 
 from __future__ import annotations
@@ -93,6 +98,12 @@ class EnumerationConfig(Frozen):
         _set(self, "filters", filters)
 
 
+# the most stages one census keeps for reuse, summed over every level
+# and fiber dimension; a level that would push the memo past it is
+# streamed afresh under each prefix
+_MEMO_CAP = 1 << 16
+
+
 def enumerate_towers(
     height: int, dims: tuple[int, ...], coeff_bound: int
 ) -> Iterator[TowerSpec]:
@@ -101,8 +112,9 @@ def enumerate_towers(
     each stage is built once and shared by every tower below it."""
     dims = tuple(sorted(set(dims)))
     values = range(-coeff_bound, coeff_bound + 1)
+    memo: dict[tuple[int, int], tuple[StageSpec, ...] | None] = {}
     for dim_tuple in itertools.product(dims, repeat=height):
-        yield from _towers_of_shape(dim_tuple, values, ())
+        yield from _towers_of_shape(dim_tuple, values, (), memo)
 
 
 def _stages(i: int, n: int, values: range) -> Iterator[StageSpec]:
@@ -113,18 +125,39 @@ def _stages(i: int, n: int, values: range) -> Iterator[StageSpec]:
         yield StageSpec(n, tuple(flat[j * w:(j + 1) * w] for j in range(n)))
 
 
+def _level(i: int, n: int, values: range, memo: dict) -> Iterable[StageSpec]:
+    """Level i's stages of fiber dimension n: the census's kept tuple
+    of them, made on first use if it fits under `_MEMO_CAP`, or else a
+    fresh stream (`memo` then holds None for the key)."""
+    key = (i, n)
+    if key not in memo:
+        kept = sum(len(level) for level in memo.values() if level is not None)
+        fits = kept + len(values) ** (n * (i - 1)) <= _MEMO_CAP
+        memo[key] = tuple(_stages(i, n, values)) if fits else None
+    level = memo[key]
+    return _stages(i, n, values) if level is None else level
+
+
 def _towers_of_shape(
-    dim_tuple: tuple[int, ...], values: range, prefix: tuple[StageSpec, ...]
+    dim_tuple: tuple[int, ...],
+    values: range,
+    prefix: tuple[StageSpec, ...],
+    memo: dict,
 ) -> Iterator[TowerSpec]:
     """The towers with these fiber dimensions whose first stages are
-    `prefix`, depth first: one frame per level, each with its one
-    iterator over that level's stages."""
+    `prefix`, depth first: one frame per level above the last, each
+    with its one pass over that level's stages."""
     i = len(prefix)
-    if i == len(dim_tuple):
+    if i == len(dim_tuple):  # the height-0 tower
         yield TowerSpec(prefix)
         return
-    for stage in _stages(i + 1, dim_tuple[i], values):
-        yield from _towers_of_shape(dim_tuple, values, prefix + (stage,))
+    stages = _level(i + 1, dim_tuple[i], values, memo)
+    if i + 1 < len(dim_tuple):
+        for stage in stages:
+            yield from _towers_of_shape(dim_tuple, values, prefix + (stage,), memo)
+    else:
+        for stage in stages:
+            yield TowerSpec(prefix + (stage,))
 
 
 def expected_count(height: int, dims: tuple[int, ...], coeff_bound: int) -> int:

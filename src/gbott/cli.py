@@ -208,6 +208,12 @@ def cmd_enumerate(args) -> int:
     # census shares stage objects, so a tower remakes only what changed
     seen: list = [None] * h
     parts = [""] * h
+    # id(stage) -> (stage, its part of the line), for the stages the
+    # census keeps and hands out again under every prefix; the entry
+    # holds the stage, so its id is not reused while the entry lives,
+    # and the memo starts afresh when it is full at the census's cap
+    texts: dict[int, tuple] = {}
+    cap = census_mod._MEMO_CAP
     batch: list[str] = []
     combo_counts: dict[tuple[bool, bool, bool], int] = {}
     towers = census_mod.enumerate_towers(
@@ -221,7 +227,14 @@ def cmd_enumerate(args) -> int:
         for k, stage in enumerate(t.stages):
             if stage is not seen[k]:
                 seen[k] = stage
-                parts[k] = stage_line(stage, k + 1, h)
+                entry = texts.get(id(stage))
+                if entry is None:
+                    entry = (stage, stage_line(stage, k + 1, h))
+                    if len(texts) < cap:
+                        texts[id(stage)] = entry
+                    else:  # full: start afresh
+                        texts.clear()
+                parts[k] = entry[1]
         batch.append("/".join(parts) + ending)
         if len(batch) == _BATCH_LINES:
             sys.stdout.write("".join(batch))

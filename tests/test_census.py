@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import random
+import sys
 import time
 
 import pytest
@@ -17,6 +18,7 @@ from gbott import (
     is_z_trivial,
     serialize_tower,
 )
+from gbott import census
 from gbott.census import classify
 from gbott.cli import main
 from gbott.errors import GbottError
@@ -200,8 +202,8 @@ def _same_prefix(a, b, j):
 def test_classify_decides_each_prefix_once(monkeypatch):
     """One closed-form decision per run of identical prefixes at each
     level, and one last-stage decision per tower whose prefix passes; no
-    stage is decided on a ring.  The census builds stage 1 once per
-    shape, so each of the 8 shapes starts a level-1 run."""
+    stage is decided on a ring.  The census builds each stage once, so
+    the 8 shapes start only two level-1 runs, one per n_1."""
     from gbott import triviality
 
     calls = {"_closed_form_k": 0, "_first_violated_k": 0}
@@ -230,7 +232,7 @@ def test_classify_decides_each_prefix_once(monkeypatch):
         if prefix not in passing:
             passing[prefix] = full_report(TowerSpec(prefix)).q_trivial
     under_passing = sum(1 for t in towers if passing[t.stages[:2]])
-    assert (len(starts[1]), len(starts[2]), under_passing) == (8, 48, 1260)
+    assert (len(starts[1]), len(starts[2]), under_passing) == (2, 48, 1260)
 
     for name in calls:
         monkeypatch.setattr(triviality, name, counted(name))
@@ -240,7 +242,7 @@ def test_classify_decides_each_prefix_once(monkeypatch):
         "_closed_form_k": len(starts[1]) + len(starts[2]) + under_passing,
         "_first_violated_k": 0,
     }
-    assert calls["_closed_form_k"] == 1316
+    assert calls["_closed_form_k"] == 1310
 
 
 def test_classify_flat_stream_matches_full_report():
@@ -302,6 +304,63 @@ def test_enumerate_stdout_is_pinned(capsys, filters):
     assert code == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED_STDOUT[filters]
+
+
+# cap 0 streams every level; cap 30 keeps every level of that census but
+# its 81 last stages of fiber dimension 2, which stream under each prefix
+@pytest.mark.parametrize("cap", [0, 30])
+@pytest.mark.parametrize("filters", list(PINNED_STDOUT), ids=lambda f: "+".join(f) or "all")
+def test_enumerate_stdout_is_pinned_whatever_the_memo_keeps(
+    capsys, monkeypatch, filters, cap
+):
+    monkeypatch.setattr(census, "_MEMO_CAP", cap)
+    args = [a for f in filters for a in ("--filter", f)]
+    code = main(["enumerate", "--height", "3", "--dims", "1,2", "--bound", "1", *args])
+    assert code == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_STDOUT[filters]
+
+
+def test_benchmark_census_stdout_is_pinned(capsys):
+    """The stdout of the 39 000-tower census that the benchmark runs
+    (md5 3115c6bf...), as printed when each tower built its own stages."""
+    code = main(["enumerate", "--height", "3", "--dims", "1,2", "--bound", "2"])
+    assert code == 0
+    out = capsys.readouterr().out
+    assert (
+        hashlib.sha256(out.encode()).hexdigest()
+        == "4d5ec81bdd0ed90f500b2393e1886383f0004ef49cf954c0d9757459197d0545"
+    )
+
+
+def test_enumerate_memos_stay_under_the_cap(capsys, monkeypatch):
+    """With the cap at 64, the census keeps its 1 + 25 stages of levels
+    1 and 2 and streams the 625 of level 3, and neither the stage memo
+    nor the CLI's text memo ever holds more than 64 entries."""
+    from gbott import tower
+
+    cap = 64
+    monkeypatch.setattr(census, "_MEMO_CAP", cap)
+    kept, texts = [], []
+    level, stage_line = census._level, tower.stage_line
+
+    def watched_level(i, n, values, memo):
+        stages = level(i, n, values, memo)
+        kept.append(sum(len(v) for v in memo.values() if v is not None))
+        return stages
+
+    def watched_stage_line(stage, i, h):
+        texts.append(len(sys._getframe(1).f_locals["texts"]))
+        return stage_line(stage, i, h)
+
+    monkeypatch.setattr(census, "_level", watched_level)
+    monkeypatch.setattr(tower, "stage_line", watched_stage_line)
+    assert main(["enumerate", "--height", "3", "--dims", "2", "--bound", "2"]) == 0
+    assert "# towers: 15625 emitted: 15625\n" in capsys.readouterr().out
+    # one visit of levels 1 and 2 each, and one of level 3 per stage 2
+    assert len(kept) == 1 + 1 + 25 and max(kept) == 1 + 25
+    # one line text per stage handed out: 1 + 25 + 25 * 625
+    assert len(texts) == 15651 and max(texts) == cap
 
 
 def test_classify_builds_no_ring(monkeypatch):

@@ -686,7 +686,7 @@ def test_census_extends_only_the_tables_a_stage_reads(monkeypatch):
         if t.stages[:2] not in passing:
             passing[t.stages[:2]] = is_q_trivial(TowerSpec(t.stages[:2]))
     under_passing = sum(passing[t.stages[:2]] for t in towers)
-    assert (runs, under_passing) == (8 + 120, 20800)
+    assert (runs, under_passing) == (2 + 120, 20800)
 
     closed = _record_closed_forms(monkeypatch)
     decided = _record_ring_decisions(monkeypatch)
@@ -697,7 +697,7 @@ def test_census_extends_only_the_tables_a_stage_reads(monkeypatch):
         "".join("TF"[not f] for f in flags) for _, flags in classify(towers)
     )
     assert (len(decided), len(built), len(rings)) == (0, 0, 0)
-    assert len(closed) == runs + under_passing == 20928
+    assert len(closed) == runs + under_passing == 20922
     assert counts == {"FFF": 37708, "TFF": 1096, "TTF": 148, "TTT": 48}
 
 
