@@ -10,7 +10,11 @@ arguments and stores each field with `_set(self, name, value)`.  The
 base gives it what a frozen dataclass would: equality and hash by
 fields, equal only to an instance of the same class; the repr
 `Name(field=value, ...)`; `AttributeError` on assignment; and pickling
-by calling the class on the fields again.
+by calling the class on the fields again.  A subclass that also keeps a
+value derived from its fields, in a slot after them, names its fields
+apart as `_FIELDS`; the base reads only those, so the derived slot
+stays out of equality, the repr and pickling, and `__init__` makes it
+again on unpickling.
 
 The classes are plain slotted classes rather than dataclasses, so that
 no gbott module imports `dataclasses`, which costs more than a short
@@ -35,12 +39,18 @@ _set = object.__setattr__
 
 
 class Frozen:
-    """Read-only value with the fields named by its class's `__slots__`."""
+    """Read-only value with the fields named by its class's `_FIELDS`,
+    by default its `__slots__`."""
 
     __slots__ = ()
 
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if "_FIELDS" not in cls.__dict__:
+            cls._FIELDS = cls.__slots__
+
     def _fields(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
+        return tuple(getattr(self, name) for name in self._FIELDS)
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -52,7 +62,7 @@ class Frozen:
 
     def __repr__(self) -> str:
         fields = ", ".join(
-            f"{name}={getattr(self, name)!r}" for name in self.__slots__
+            f"{name}={getattr(self, name)!r}" for name in self._FIELDS
         )
         return f"{self.__class__.__qualname__}({fields})"
 

@@ -204,38 +204,50 @@ def cmd_enumerate(args) -> int:
         if all(f or not r for f, r in zip(flags, required))
     }
     h = config.height
-    # the stage last seen at each level, and its part of the line; the
-    # census shares stage objects, so a tower remakes only what changed
-    seen: list = [None] * h
-    parts = [""] * h
+    # the stage last seen at each level below the last, its part of the
+    # line, and the line's head made of them; the census shares stage
+    # objects, so a tower remakes only what changed, and the head is
+    # joined again only when the prefix changes
+    seen: list = [None] * (h - 1)
+    parts = [""] * (h - 1)
+    head = ""
     # id(stage) -> (stage, its part of the line), for the stages the
     # census keeps and hands out again under every prefix; the entry
     # holds the stage, so its id is not reused while the entry lives,
     # and the memo starts afresh when it is full at the census's cap
     texts: dict[int, tuple] = {}
     cap = census_mod._MEMO_CAP
+
+    def text(stage, i: int) -> str:
+        entry = texts.get(id(stage))
+        if entry is None:
+            entry = (stage, stage_line(stage, i, h))
+            if len(texts) < cap:
+                texts[id(stage)] = entry
+            else:  # full: start afresh
+                texts.clear()
+        return entry[1]
+
     batch: list[str] = []
-    combo_counts: dict[tuple[bool, bool, bool], int] = {}
+    combo_counts = dict.fromkeys(itertools.product((False, True), repeat=3), 0)
     towers = census_mod.enumerate_towers(
         config.height, config.dims, config.coeff_bound
     )
     for t, flags in census_mod.classify(towers):
-        combo_counts[flags] = combo_counts.get(flags, 0) + 1
+        combo_counts[flags] += 1
         ending = endings.get(flags)
         if ending is None:
             continue
-        for k, stage in enumerate(t.stages):
-            if stage is not seen[k]:
-                seen[k] = stage
-                entry = texts.get(id(stage))
-                if entry is None:
-                    entry = (stage, stage_line(stage, k + 1, h))
-                    if len(texts) < cap:
-                        texts[id(stage)] = entry
-                    else:  # full: start afresh
-                        texts.clear()
-                parts[k] = entry[1]
-        batch.append("/".join(parts) + ending)
+        stages = t.stages
+        changed = False
+        for k in range(h - 1):
+            if stages[k] is not seen[k]:
+                seen[k] = stages[k]
+                parts[k] = text(stages[k], k + 1)
+                changed = True
+        if changed:
+            head = "".join(part + "/" for part in parts)
+        batch.append(head + text(stages[-1], h) + ending)
         if len(batch) == _BATCH_LINES:
             sys.stdout.write("".join(batch))
             batch.clear()
@@ -244,8 +256,9 @@ def cmd_enumerate(args) -> int:
     emitted = sum(n for flags, n in combo_counts.items() if flags in endings)
     print(f"# towers: {total} emitted: {emitted}")
     for flags in sorted(combo_counts, reverse=True):
-        q, z, c = (int(f) for f in flags)
-        print(f"# q={q} z={z} chern={c}: {combo_counts[flags]}")
+        if combo_counts[flags]:
+            q, z, c = (int(f) for f in flags)
+            print(f"# q={q} z={z} chern={c}: {combo_counts[flags]}")
     return EXIT_OK
 
 

@@ -34,16 +34,30 @@ from .errors import InadmissiblePermutation, TowerFormatError, TowerValidationEr
 
 
 class StageSpec(Frozen):
-    """One stage: fiber dimension n_i and its n_i x (i-1) twist matrix."""
+    """One stage: fiber dimension n_i and its n_i x (i-1) twist matrix.
 
-    __slots__ = ("fiber_dim", "coeffs")
+    A stage checks its own shape once, when it is made: `_width` is the
+    common length of its rows when it has a positive fiber dimension
+    and that many rows, all of one length, and None otherwise.  It is
+    derived from the fields and is not one of them."""
+
+    __slots__ = ("fiber_dim", "coeffs", "_width")
+    _FIELDS = ("fiber_dim", "coeffs")
 
     fiber_dim: int
     coeffs: tuple[tuple[int, ...], ...]
 
     def __init__(self, fiber_dim: int, coeffs: Iterable[Iterable[int]] = ()):
-        _set(self, "fiber_dim", int(fiber_dim))
-        _set(self, "coeffs", tuple(tuple(int(x) for x in row) for row in coeffs))
+        n = int(fiber_dim)
+        coeffs = tuple(tuple(int(x) for x in row) for row in coeffs)
+        widths = {len(row) for row in coeffs}
+        _set(self, "fiber_dim", n)
+        _set(self, "coeffs", coeffs)
+        _set(
+            self,
+            "_width",
+            widths.pop() if n >= 1 and len(coeffs) == n and len(widths) == 1 else None,
+        )
 
 
 class TowerSpec(Frozen):
@@ -54,9 +68,13 @@ class TowerSpec(Frozen):
     stages: tuple[StageSpec, ...]
 
     def __init__(self, stages: Iterable[StageSpec]):
-        stages = tuple(
-            s if isinstance(s, StageSpec) else StageSpec(*s) for s in stages
-        )
+        stages = tuple(stages)
+        for s in stages:
+            if not isinstance(s, StageSpec):  # (n, rows) tuples among them
+                stages = tuple(
+                    s if isinstance(s, StageSpec) else StageSpec(*s) for s in stages
+                )
+                break
         # Stage 1 has an n_1 x 0 matrix; allow it to be written with no
         # rows at all and canonicalize to n_1 empty rows.
         if stages and stages[0].coeffs == () and stages[0].fiber_dim > 0:
@@ -67,26 +85,15 @@ class TowerSpec(Frozen):
 
     def validate(self) -> None:
         """Raise TowerValidationError unless every stage has a positive
-        fiber dimension and a coefficient matrix of shape n_i x (i-1)."""
-        for i, stage in enumerate(self.stages, start=1):
-            if stage.fiber_dim < 1:
-                raise TowerValidationError(
-                    f"stage {i}: fiber dimension must be >= 1, got {stage.fiber_dim}",
-                    stage=i,
-                )
-            if len(stage.coeffs) != stage.fiber_dim:
-                raise TowerValidationError(
-                    f"stage {i}: expected {stage.fiber_dim} coefficient rows, "
-                    f"got {len(stage.coeffs)}",
-                    stage=i,
-                )
-            for j, row in enumerate(stage.coeffs, start=1):
-                if len(row) != i - 1:
-                    raise TowerValidationError(
-                        f"stage {i}, row {j}: expected {i - 1} entries, "
-                        f"got {len(row)}",
-                        stage=i,
-                    )
+        fiber dimension and a coefficient matrix of shape n_i x (i-1).
+
+        Each stage checked its own shape when it was made, so this
+        compares one width per stage with i-1; the rows are walked
+        only to word the error, which names the stage (`stage=`) and,
+        for a row of the wrong length, the row."""
+        for i, stage in enumerate(self.stages):
+            if stage._width != i:
+                raise _shape_error(stage, i + 1)
 
     @property
     def height(self) -> int:
@@ -106,6 +113,28 @@ class TowerSpec(Frozen):
 
     def __str__(self) -> str:
         return serialize_tower(self)
+
+
+def _shape_error(stage: StageSpec, i: int) -> TowerValidationError:
+    """The error for stage i of a tower, whose shape is not n_i x (i-1)."""
+    if stage.fiber_dim < 1:
+        return TowerValidationError(
+            f"stage {i}: fiber dimension must be >= 1, got {stage.fiber_dim}",
+            stage=i,
+        )
+    if len(stage.coeffs) != stage.fiber_dim:
+        return TowerValidationError(
+            f"stage {i}: expected {stage.fiber_dim} coefficient rows, "
+            f"got {len(stage.coeffs)}",
+            stage=i,
+        )
+    j, row = next(
+        (j, row) for j, row in enumerate(stage.coeffs, start=1) if len(row) != i - 1
+    )
+    return TowerValidationError(
+        f"stage {i}, row {j}: expected {i - 1} entries, got {len(row)}",
+        stage=i,
+    )
 
 
 def product_tower(dims: Iterable[int]) -> TowerSpec:

@@ -66,26 +66,38 @@ them in the w_l by back substitution from the top line down, x_l =
 (w_l - c_1(xi_l))/2, on coordinates scaled by 2^|L|: every division
 by 2 is then exact, and no fraction is made.
 
+The closed form reads the prefix only through its closed-form context
+(`_context`): for each stage below i, its row if it is a line stage,
+and only the fact that it is wide if it is not.  The wide stages' rows
+enter neither the k = 2 test nor the back substitution, and stage i's
+candidate, hence its scale and its Chern part, depends on its own rows
+alone.  So over two Q-trivial prefixes with equal contexts, one stage
+gets one decision: whether it passes, whether its scale is 1, and
+whether its Chern part is zero (`_decide`).
+
 The deciders and `gbott.census` walk a tower's prefixes in order
 (`_walk`), one step per stage (`_step`).  A prefix's state is its three
-flags so far (Q-, Z-, Chern-trivial); the step decides stage i in closed
-form when the prefix below it is Q-trivial, and is a constant when it
-is not.  So no walk builds a ring or a table, and `gbott.census` keeps
-the flags of each prefix for the many towers above it.  `full_report`
-decides every stage, also above a failing one, since it reports each
-stage's diagnostic: up to the first failing stage in closed form, and
-above it, where the prefix is not Q-trivial and the closed form does
-not apply, on the ring (`_first_violated_k`), all such stages on the
-one table of the height-(h-1) prefix, in which each R_(i-1) embeds.
-`_first_violated_k` is the full ring decision: c_0..c_n as elementary
-symmetric functions of the rows' linear forms, one table map per row,
-and c_1^k one more application of the map for c_1 per k.  The tests
-check the closed form against it, and both against the normal-form
-computation of the same identities, on every stage of their censuses.
-They also certify every Q-trivial tower: the matrix whose column i is
-z_i is checked with `isosearch.is_iso`, a Q-isomorphism from the
-product ring onto the tower's, and a Z-isomorphism exactly when the
-tower is Z-trivial.  `python -O` runs the same code.
+flags so far (Q-, Z-, Chern-trivial) and its context; the step decides
+stage i in closed form when the prefix below it is Q-trivial, and is a
+constant when it is not, and it combines the stage's decision with the
+prefix's flags.  So no walk builds a ring or a table, and `gbott.census`
+keeps the state of each prefix for the many towers above it, and the
+decision of each last stage for the prefixes with the same context.
+`full_report` decides every stage, also above a failing one, since it
+reports each stage's diagnostic: up to the first failing stage in
+closed form, and above it, where the prefix is not Q-trivial and the
+closed form does not apply, on the ring (`_first_violated_k`), all
+such stages on the one table of the height-(h-1) prefix, in which each
+R_(i-1) embeds.  `_first_violated_k` is the full ring decision:
+c_0..c_n as elementary symmetric functions of the rows' linear forms,
+one table map per row, and c_1^k one more application of the map for
+c_1 per k.  The tests check the closed form against it, and both
+against the normal-form computation of the same identities, on every
+stage of their censuses.  They also certify every Q-trivial tower:
+the matrix whose column i is z_i is checked with `isosearch.is_iso`, a
+Q-isomorphism from the product ring onto the tower's, and a
+Z-isomorphism exactly when the tower is Z-trivial.  `python -O` runs
+the same code.
 
 Every Q-trivial tower can be reordered, by conjugating with an
 admissible permutation, so that all n_i = 1 stages come first and no
@@ -315,13 +327,15 @@ def _closed_form_k(t: TowerSpec, i: int) -> int | None:
     Q-trivial, in integer arithmetic with no ring (see the module
     docstring): k = 2 for a stage twisted over a wide stage; otherwise
     the least k for which some k-set S of line stages has a non-zero
-    sum over r of prod_{l in S} b_rl."""
+    sum over r of prod_{l in S} b_rl.  It reads the prefix only through
+    its closed-form context (`_context`)."""
     stages = t.stages
     rows = stages[i - 1].coeffs
+    context = _context(stages[: i - 1])
     cols = list(zip(*rows))
     lines = []  # the line stages below i, 0-based
-    for l, (stage, col) in enumerate(zip(stages, cols)):
-        if stage.fiber_dim == 1:
+    for l, (row, col) in enumerate(zip(context, cols)):
+        if row is not None:
             lines.append(l)
         elif any(col):
             return 2
@@ -333,7 +347,7 @@ def _closed_form_k(t: TowerSpec, i: int) -> int | None:
         for l in reversed(lines):
             e = v[l] = v[l] // 2
             if e:
-                for j, a in enumerate(stages[l].coeffs[0]):
+                for j, a in enumerate(context[l]):
                     v[j] -= a * e
         coords.append([v[l] for l in lines])
     for k in range(2, min(n1, m) + 1):
@@ -385,34 +399,58 @@ def stage_diagnostics(t: TowerSpec) -> tuple[StageDiagnostic, ...]:
 
 # -- prefix walk -------------------------------------------------------------
 
-# A prefix's state is its flags so far, (q, z, chern).
+# A prefix's state is its flags so far, (q, z, chern), and its
+# closed-form context.
 _Q, _Z, _CHERN = range(3)
-_EMPTY = (True, True, True)  # height 0
+_EMPTY = (True, True, True)  # the flags of height 0
 _FAILED = (False, False, False)
+_START = (_EMPTY, ())  # the state of height 0
 
 
-def _step(t: TowerSpec, i: int, flags) -> tuple[bool, bool, bool]:
-    """The flags of t's prefix of height i, from `flags`, those of the
-    prefix below it: stage i is decided in closed form when that prefix
-    is Q-trivial, and not at all when it is not."""
-    q, z, chern = flags
-    if not q or _closed_form_k(t, i) is not None:
+def _context(stages) -> tuple:
+    """The closed-form context of a prefix with these stages: for each,
+    its row if it is a line stage, or None if it is wide."""
+    return tuple([s.coeffs[0] if s.fiber_dim == 1 else None for s in stages])
+
+
+def _decide(t: TowerSpec, i: int) -> tuple[bool, bool, bool]:
+    """Stage i's own part of the flags, over a Q-trivial prefix: whether
+    it passes, whether its scale is 1, and whether its Chern part (the
+    first i-1 entries of its candidate) is zero; all False when it
+    fails.  A function of the stage and the prefix's context alone."""
+    if _closed_form_k(t, i) is not None:
         return _FAILED
     c = _candidate(t, i)
-    return True, z and c.scale == 1, chern and not any(c.vector.coeffs[: i - 1])
+    return True, c.scale == 1, not any(c.vector.coeffs[: i - 1])
 
 
-def _walk(t: TowerSpec, levels: list) -> tuple[bool, bool, bool]:
+def _step(t: TowerSpec, i: int, flags, decide=_decide) -> tuple[bool, ...]:
+    """The flags of t's prefix of height i, from `flags`, those of the
+    prefix below it: stage i is decided (`decide(t, i)`, by default in
+    closed form) when that prefix is Q-trivial, and not at all when it
+    is not."""
+    q, z, chern = flags
+    if not q:
+        return _FAILED
+    passes, unit, flat = decide(t, i)
+    return passes, z and unit, chern and flat
+
+
+def _walk(t: TowerSpec, levels: list, decide=_decide) -> tuple[bool, ...]:
     """The flags (q, z, chern) of t, checked against each other as
     `full_report` checks them, each stage decided once.  levels[j] is
     the state of t's prefix of height j for each j < len(levels),
-    levels[0] being _EMPTY; the walk appends the states up to height
-    h-1.  It does not decompose: a tower it finds Q-trivial has no stage
-    twisted over a wide stage, so `_reorder` could not fail on it."""
-    h = t.height
+    levels[0] being _START; the walk appends the states up to height
+    h-1, and decides the last stage by `decide`.  It does not
+    decompose: a tower it finds Q-trivial has no stage twisted over a
+    wide stage, so `_reorder` could not fail on it."""
+    stages = t.stages
+    h = len(stages)
     while len(levels) < h:
-        levels.append(_step(t, len(levels), levels[-1]))
-    flags = _step(t, h, levels[h - 1]) if h else _EMPTY
+        i = len(levels)
+        flags, context = levels[-1]
+        levels.append((_step(t, i, flags), context + _context(stages[i - 1 : i])))
+    flags = _step(t, h, levels[h - 1][0], decide) if h else _EMPTY
     _check_flags(*flags)
     return flags
 
@@ -422,12 +460,12 @@ def _walk(t: TowerSpec, levels: list) -> tuple[bool, bool, bool]:
 
 def is_q_trivial(t: TowerSpec) -> bool:
     """Rational triviality via the per-stage Chern identities."""
-    return _walk(t, [_EMPTY])[_Q]
+    return _walk(t, [_START])[_Q]
 
 
 def is_total_chern_trivial(t: TowerSpec) -> bool:
     """True iff every c_k(xi_i), k >= 1, is zero in the ring."""
-    return _walk(t, [_EMPTY])[_CHERN]
+    return _walk(t, [_START])[_CHERN]
 
 
 def generator_candidates(t: TowerSpec) -> tuple[GeneratorCandidate, ...]:
@@ -439,7 +477,7 @@ def generator_candidates(t: TowerSpec) -> tuple[GeneratorCandidate, ...]:
 
 def is_z_trivial(t: TowerSpec) -> bool:
     """Integral triviality: Q-trivial and every candidate scale r_i = 1."""
-    return _walk(t, [_EMPTY])[_Z]
+    return _walk(t, [_START])[_Z]
 
 
 def bott_q_trivial(t: TowerSpec) -> bool:

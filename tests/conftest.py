@@ -30,6 +30,27 @@ def twisted_over_wide(t: TowerSpec, i: int) -> bool:
     )
 
 
+def last_stage_decisions(towers, passes) -> int:
+    """How many last stages `census.classify` decides over this stream:
+    one per stage object in each run of towers whose prefix passes
+    (`passes(prefix)`) and has an equal closed-form context, that is,
+    the same row for each line stage and the same wide stages below."""
+    count, decided, context = 0, set(), None
+    for t in towers:
+        prefix = t.stages[:-1]
+        if not passes(prefix):
+            continue
+        prefix_context = tuple(
+            s.coeffs[0] if s.fiber_dim == 1 else None for s in prefix
+        )
+        if prefix_context != context:
+            decided, context = set(), prefix_context
+        if id(t.stages[-1]) not in decided:
+            decided.add(id(t.stages[-1]))
+            count += 1
+    return count
+
+
 def certify(t: TowerSpec, candidates) -> tuple[bool, bool]:
     """Whether the matrix whose column i is stage i's candidate vector
     maps the ring of the product of projective spaces with t's fiber

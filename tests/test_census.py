@@ -11,6 +11,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from gbott import (
     EnumerationConfig,
+    StageSpec,
     TowerSpec,
     enumerate_towers,
     expected_count,
@@ -24,6 +25,7 @@ from gbott.cli import main
 from gbott.errors import GbottError
 from gbott.tower import matrix_line
 
+from conftest import last_stage_decisions
 from test_tower import towers
 from oracle_impls import enumerate_towers_flat, matrix_line_via_transpose
 
@@ -201,9 +203,10 @@ def _same_prefix(a, b, j):
 
 def test_classify_decides_each_prefix_once(monkeypatch):
     """One closed-form decision per run of identical prefixes at each
-    level, and one last-stage decision per tower whose prefix passes; no
-    stage is decided on a ring.  The census builds each stage once, so
-    the 8 shapes start only two level-1 runs, one per n_1."""
+    level, and one last-stage decision per stage object under each run
+    of passing prefixes with an equal closed-form context; no stage is
+    decided on a ring.  The census builds each stage once, so the 8
+    shapes start only two level-1 runs, one per n_1."""
     from gbott import triviality
 
     calls = {"_closed_form_k": 0, "_first_violated_k": 0}
@@ -232,17 +235,18 @@ def test_classify_decides_each_prefix_once(monkeypatch):
         if prefix not in passing:
             passing[prefix] = full_report(TowerSpec(prefix)).q_trivial
     under_passing = sum(1 for t in towers if passing[t.stages[:2]])
-    assert (len(starts[1]), len(starts[2]), under_passing) == (2, 48, 1260)
+    last = last_stage_decisions(towers, passing.__getitem__)
+    assert (len(starts[1]), len(starts[2]), under_passing, last) == (2, 48, 1260, 540)
 
     for name in calls:
         monkeypatch.setattr(triviality, name, counted(name))
     for _ in classify(towers):
         pass
     assert calls == {
-        "_closed_form_k": len(starts[1]) + len(starts[2]) + under_passing,
+        "_closed_form_k": len(starts[1]) + len(starts[2]) + last,
         "_first_violated_k": 0,
     }
-    assert calls["_closed_form_k"] == 1310
+    assert calls["_closed_form_k"] == 590
 
 
 def test_classify_flat_stream_matches_full_report():
@@ -250,6 +254,48 @@ def test_classify_flat_stream_matches_full_report():
     prefix object, so every stage is decided again; the flags are still
     `full_report`'s."""
     towers = list(enumerate_towers_flat(3, (1, 2), 1))
+    assert [f for _, f in classify(towers)] == [_report_flags(t) for t in towers]
+
+
+def test_classify_reuses_a_last_stage_decision_under_an_equal_context(monkeypatch):
+    """Stage 2 wide over a line stage: both prefixes have one closed-form
+    context, stage 1's row and a mark, but not the same z and chern
+    flags.  The last stage, one object, is decided once under them, and
+    each tower still gets `full_report`'s flags."""
+    from gbott import triviality
+
+    line = StageSpec(1, ((),))
+    plain, twisted = StageSpec(2, ((0,), (0,))), StageSpec(2, ((1,), (1,)))
+    last = StageSpec(1, ((0, 0),))
+    a, b = TowerSpec((line, plain, last)), TowerSpec((line, twisted, last))
+    assert (_report_flags(a), _report_flags(b)) == ((True,) * 3, (True, False, False))
+    calls = []
+    decide = triviality._closed_form_k
+    monkeypatch.setattr(
+        triviality, "_closed_form_k", lambda t, i: calls.append(i) or decide(t, i)
+    )
+    for stream in ([a, b, a, b], [b, a, b, a]):
+        expected = [_report_flags(t) for t in stream]
+        calls.clear()
+        assert [f for _, f in classify(stream)] == expected
+        # stages 1, 2 and 3 of the first tower, then stage 2 of each after
+        assert calls == [1, 2, 3, 2, 2, 2]
+
+
+@pytest.mark.parametrize("cap", [0, 1, 64])
+def test_classify_matches_full_report_whatever_the_memo_keeps(monkeypatch, cap):
+    """Shuffled, mixed-height, ordered and flat streams get
+    `full_report`'s flags however many last-stage decisions the memo
+    may keep."""
+    monkeypatch.setattr(census, "_MEMO_CAP", cap)
+    shuffled = list(enumerate_towers(3, (1, 2), 1)) + list(enumerate_towers(2, (1, 3), 1))
+    random.Random(cap).shuffle(shuffled)
+    towers = (
+        shuffled[:400]
+        + list(enumerate_towers(3, (1, 2), 1))[-400:]
+        + list(enumerate_towers_flat(3, (1, 2), 1))[-400:]
+        + list(enumerate_towers(1, (1, 2, 3), 0))
+    )
     assert [f for _, f in classify(towers)] == [_report_flags(t) for t in towers]
 
 
@@ -335,14 +381,15 @@ def test_benchmark_census_stdout_is_pinned(capsys):
 
 def test_enumerate_memos_stay_under_the_cap(capsys, monkeypatch):
     """With the cap at 64, the census keeps its 1 + 25 stages of levels
-    1 and 2 and streams the 625 of level 3, and neither the stage memo
-    nor the CLI's text memo ever holds more than 64 entries."""
-    from gbott import tower
+    1 and 2 and streams the 625 of level 3, and neither the stage memo,
+    the classifier's decision memo nor the CLI's text memo ever holds
+    more than 64 entries."""
+    from gbott import tower, triviality
 
     cap = 64
     monkeypatch.setattr(census, "_MEMO_CAP", cap)
-    kept, texts = [], []
-    level, stage_line = census._level, tower.stage_line
+    kept, texts, decisions = [], [], []
+    level, stage_line, decide = census._level, tower.stage_line, triviality._decide
 
     def watched_level(i, n, values, memo):
         stages = level(i, n, values, memo)
@@ -353,14 +400,25 @@ def test_enumerate_memos_stay_under_the_cap(capsys, monkeypatch):
         texts.append(len(sys._getframe(1).f_locals["texts"]))
         return stage_line(stage, i, h)
 
+    def watched_decide(t, i):
+        memo = sys._getframe(1).f_locals.get("memo")
+        if memo is not None:  # a last stage, decided by `classify`
+            decisions.append(len(memo))
+        return decide(t, i)
+
     monkeypatch.setattr(census, "_level", watched_level)
     monkeypatch.setattr(tower, "stage_line", watched_stage_line)
+    monkeypatch.setattr(triviality, "_decide", watched_decide)
     assert main(["enumerate", "--height", "3", "--dims", "2", "--bound", "2"]) == 0
     assert "# towers: 15625 emitted: 15625\n" in capsys.readouterr().out
     # one visit of levels 1 and 2 each, and one of level 3 per stage 2
     assert len(kept) == 1 + 1 + 25 and max(kept) == 1 + 25
     # one line text per stage handed out: 1 + 25 + 25 * 625
     assert len(texts) == 15651 and max(texts) == cap
+    # only the untwisted stage 2 passes over the wide stage 1, and the
+    # 625 stages above it are streamed, so each is decided once; the
+    # decision memo fills up to the cap and no further
+    assert len(decisions) == 625 and max(decisions) == cap
 
 
 def test_classify_builds_no_ring(monkeypatch):

@@ -94,6 +94,32 @@ print(json.dumps(phases))
 """
 
 
+# `gbott enumerate` after a parse of the same kind by argparse alone, so
+# that the modules argparse loads to word its messages are not new
+ENUMERATE = """
+import argparse, contextlib, io
+parser = argparse.ArgumentParser()
+parser.add_subparsers().add_parser("run").add_argument("--n", type=int)
+parser.parse_args(["run", "--n", "1"])
+phase("argparse")
+from gbott import cli
+with contextlib.redirect_stdout(io.StringIO()) as out:
+    phases["enumerate_exit"] = cli.main(
+        ["enumerate", "--height", "2", "--dims", "1,2", "--bound", "1", "--filter", "q"]
+    )
+phases["summary"] = out.getvalue().splitlines()[-4]
+phase("enumerate")
+print(json.dumps(phases))
+"""
+
+# the modules `gbott enumerate` loads; one more would add to the start-up
+# of every census
+ENUMERATE_MODULES = {
+    "__future__", "gbott", "gbott._base", "gbott.census", "gbott.cli",
+    "gbott.errors", "gbott.tower", "gbott.triviality",
+}
+
+
 def _run(script: str, *args: str):
     proc = subprocess.run(
         [sys.executable, "-c", PHASES + script, *args],
@@ -187,6 +213,15 @@ def test_deciders_load_neither_rings_nor_polynomials(library):
     loaded = set(library["census"] + library["decide"])
     assert "gbott.triviality" in loaded
     assert not {"gbott.cohomology", "gbott.poly", "fractions"} & loaded
+
+
+def test_enumerate_loads_nothing_new():
+    """`gbott enumerate` loads no module beyond the ones it has loaded
+    so far, so that its start-up does not grow unseen."""
+    _, phases = _run(ENUMERATE)
+    assert phases["enumerate_exit"] == 0
+    assert phases["summary"] == "# towers: 24 emitted: 14"
+    assert set(phases["enumerate"]) <= ENUMERATE_MODULES
 
 
 def test_oracle_loads_no_polynomials(library):

@@ -59,20 +59,61 @@ def test_single_stage_cp5_is_valid():
     assert t.dims == (5,)
 
 
-def test_wrong_row_count_rejected():
+# a malformed stage is built without complaint; the tower holding it
+# raises, naming the stage and, for a row of the wrong length, the row
+MALFORMED = {
+    "dim-zero": (
+        (StageSpec(0),),
+        "stage 1: fiber dimension must be >= 1, got 0",
+        1,
+    ),
+    "dim-negative": (
+        (StageSpec(1), StageSpec(-2, ((0,), (0,)))),
+        "stage 2: fiber dimension must be >= 1, got -2",
+        2,
+    ),
+    "row-count": (
+        (StageSpec(2), StageSpec(3, ((0,), (0,)))),
+        "stage 2: expected 3 coefficient rows, got 2",
+        2,
+    ),
+    "ragged-row": (
+        (StageSpec(1), StageSpec(1, ((1,),)), StageSpec(3, ((0, 1), (2,), (0, 0)))),
+        "stage 3, row 2: expected 2 entries, got 1",
+        3,
+    ),
+    "row-width": (
+        (StageSpec(1), StageSpec(1, ((1, 2),))),
+        "stage 2, row 1: expected 1 entries, got 2",
+        2,
+    ),
+    "stage-1-width": (
+        (StageSpec(2, ((1,), (0,))),),
+        "stage 1, row 1: expected 0 entries, got 1",
+        1,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(MALFORMED))
+def test_malformed_stage_rejected(case):
+    stages, message, stage = MALFORMED[case]
     with pytest.raises(TowerValidationError) as err:
-        TowerSpec((StageSpec(2), StageSpec(3, ((0,), (0,)))))
+        TowerSpec(stages)
+    assert str(err.value) == message
+    assert err.value.stage == stage
+
+
+def test_stage_tuples_and_a_bare_first_stage_accepted():
+    """Stages may be given as (n, rows) tuples, and stage 1 with no
+    rows at all; both are checked as any other stage is."""
+    t = TowerSpec([(2,), (1, [[3]]), StageSpec(2, ((1, 0), (0, 1)))])
+    assert t.dims == (2, 1, 2)
+    assert t.stages[0] == StageSpec(2, ((), ()))
+    assert t == TowerSpec((StageSpec(2, ((), ())), StageSpec(1, ((3,),)), t.stages[2]))
+    with pytest.raises(TowerValidationError) as err:
+        TowerSpec([(2,), (1, [[3, 0]])])
     assert err.value.stage == 2
-
-
-def test_wrong_row_length_rejected():
-    with pytest.raises(TowerValidationError):
-        TowerSpec((StageSpec(1), StageSpec(1, ((1, 2),))))
-
-
-def test_nonpositive_dim_rejected():
-    with pytest.raises(TowerValidationError):
-        TowerSpec((StageSpec(0),))
 
 
 # -- matrix exports -----------------------------------------------------------

@@ -34,7 +34,7 @@ from gbott.census import classify
 from gbott.errors import PreconditionError
 from gbott.triviality import Degree2Class, GeneratorCandidate, StageDiagnostic
 
-from conftest import certify, hirzebruch, twisted_over_wide
+from conftest import certify, hirzebruch, last_stage_decisions, twisted_over_wide
 from oracle_impls import (
     adjacent_swap_order,
     chern_identity_violation,
@@ -672,7 +672,8 @@ def test_census_extends_only_the_tables_a_stage_reads(monkeypatch):
     form: it makes no ring decision, builds no ring and extends no
     table, and its flag histogram is unchanged.  It decides stages 1
     and 2 once per run of towers that share them as objects, and
-    stage 3 once per tower over a Q-trivial prefix."""
+    stage 3 once per stage object under each run of Q-trivial prefixes
+    with an equal closed-form context."""
     from gbott import cohomology
 
     towers = list(enumerate_towers(3, (1, 2), 2))
@@ -686,7 +687,8 @@ def test_census_extends_only_the_tables_a_stage_reads(monkeypatch):
         if t.stages[:2] not in passing:
             passing[t.stages[:2]] = is_q_trivial(TowerSpec(t.stages[:2]))
     under_passing = sum(passing[t.stages[:2]] for t in towers)
-    assert (runs, under_passing) == (2 + 120, 20800)
+    last = last_stage_decisions(towers, passing.__getitem__)
+    assert (runs, under_passing, last) == (2 + 120, 20800, 5200)
 
     closed = _record_closed_forms(monkeypatch)
     decided = _record_ring_decisions(monkeypatch)
@@ -697,7 +699,7 @@ def test_census_extends_only_the_tables_a_stage_reads(monkeypatch):
         "".join("TF"[not f] for f in flags) for _, flags in classify(towers)
     )
     assert (len(decided), len(built), len(rings)) == (0, 0, 0)
-    assert len(closed) == runs + under_passing == 20922
+    assert len(closed) == runs + last == 5322
     assert counts == {"FFF": 37708, "TFF": 1096, "TTF": 148, "TTT": 48}
 
 
